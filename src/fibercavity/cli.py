@@ -2,10 +2,14 @@
 
 Subcommands: spectrum | ringdown | fit | mode-solve | experiment. Every
 subcommand reads one JSON config document (all fields optional, defaults
-documented by ``--dump-config``), lets flags override config fields, writes
-its outputs atomically, and drops a ``<primary output>.manifest.json``
-recording the fully resolved config, seed and tool version; re-running with
-a manifest's config reproduces the outputs byte-identically.
+documented by ``--dump-config``) and lets flags override config fields. One
+field table per subcommand declares each field's kind, default, bounds, unit
+and overriding flag; ``_resolve`` turns the document plus flags into the
+resolved document, which ``--dump-config`` prints, the manifest records and
+the subcommand then runs from. Outputs are written atomically, next to a
+``<primary output>.manifest.json`` holding the resolved config, seed and tool
+version, so re-running with a manifest's config reproduces the outputs
+byte-identically.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure
 (non-convergence, no root, integration failure), 4 I/O error.
@@ -14,19 +18,23 @@ Exit codes: 0 success, 2 config/schema error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import copy
+import contextlib
+import dataclasses
 import json
+import math
 import os
 import secrets
 import sys
 import time
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import dataio, estimation, experiment, fibermode, ringdown, steady, svgplot
 from .dataio import unit_exact_value
-from .constants import CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH
+from .constants import C, CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH
 from .ringdown import IntegrationError, RingdownParams
 from .units import (
     CavityGeometry,
@@ -52,51 +60,223 @@ def _fail(pointer: str, message: str):
     raise ConfigError(f"{pointer}: {message}")
 
 
-def _get_number(doc, pointer, key, default=None, minimum=None, maximum=None):
-    value = doc.get(key, default)
-    if value is None:
-        _fail(f"{pointer}/{key}", "required number missing")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{pointer}/{key}", f"expected number, got {value!r}")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        _fail(f"{pointer}/{key}", f"must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        _fail(f"{pointer}/{key}", f"must be <= {maximum}")
+# ---------------------------------------------------------------------------
+# config schema
+
+NUMBER, INTEGER, RATE, BOOL, CHOICE, NUMBERS, PATH = (
+    "number", "integer", "rate", "boolean", "choice", "list of numbers", "path"
+)
+REQUIRED = object()
+NM, UM = 1e-9, 1e-6
+D2_NM = CS_D2_WAVELENGTH * 1e9
+
+
+class Field(NamedTuple):
+    """One config field, named by its key in the block that holds it.
+
+    ``default`` applies when neither the document nor ``flag`` (an argparse
+    destination) gives a value; a callable default is called, ``None`` leaves
+    the field out and ``REQUIRED`` rejects its absence. A rate is a
+    ``{value, unit}`` object and resolves to rad/s, which survives the JSON
+    round trip bit-exactly. A number with a ``scale`` (its SI factor)
+    resolves to the double that multiplies back to the same SI value.
+    """
+
+    kind: str
+    default: object = None
+    minimum: float | None = None
+    maximum: float | None = None
+    scale: float | None = None
+    flag: str | None = None
+    choices: tuple = ()
+
+
+def _rates(**defaults_two_pi_mhz) -> dict:
+    return {
+        name: Field(RATE, {"value": value, "unit": "two_pi_mhz"})
+        for name, value in defaults_two_pi_mhz.items()
+    }
+
+
+def _probe(power_w: float, duration_s: float) -> dict:
+    return {
+        "power_w": Field(NUMBER, power_w, minimum=0.0),
+        "duration_s": Field(NUMBER, duration_s, minimum=0.0),
+        **_rates(detuning=0.0),
+        "wavelength_nm": Field(NUMBER, D2_NM, scale=NM),
+    }
+
+
+SEED = Field(INTEGER, lambda: secrets.randbits(32), minimum=0, flag="seed")
+SYSTEM = _rates(kappa1=0.12, kappa2=3.08, kappa_loss=3.2, gamma=2.6, g=7.8, cavity_detuning=0.0)
+SPECTRUM = {
+    "system": SYSTEM,
+    "grid": {
+        "delta_min_mhz": Field(NUMBER, -25.0, flag="delta_min_mhz"),
+        "delta_max_mhz": Field(NUMBER, 25.0, flag="delta_max_mhz"),
+        "points": Field(INTEGER, 501, minimum=2, flag="points"),
+    },
+    "g_list_two_pi_mhz": Field(NUMBERS, flag="g_list_mhz"),
+    "seed": SEED,
+}
+RINGDOWN = {
+    "ringdown": {
+        **_rates(kappa1=0.12, kappa2=3.08, kappa_loss=3.2, kappa_s=50.0),
+        "s0": Field(NUMBER, 1.0),
+    },
+    "grid": {
+        "t_min_ns": Field(NUMBER, -20.0, flag="t_min_ns"),
+        "t_max_ns": Field(NUMBER, 250.0, flag="t_max_ns"),
+        "points": Field(INTEGER, 541, minimum=2, flag="points"),
+    },
+    "method": Field(CHOICE, "both", flag="method", choices=("analytic", "integrate", "both")),
+    "seed": SEED,
+}
+FIT = {
+    "recipe": Field(
+        CHOICE, REQUIRED, flag="recipe",
+        choices=("lorentzian", "rabi-g", "exponential", "ringdown-tail"),
+    ),
+    "data": Field(PATH, REQUIRED, flag="data"),
+    "seed": SEED,
+}
+FIT_RECIPE_FIELDS = {
+    "lorentzian": {"float_center": Field(BOOL, False, flag="float_center")},
+    "rabi-g": {"fixed": SYSTEM},
+    "exponential": {},
+    "ringdown-tail": {"tail_start_ns": Field(NUMBER, 0.0, flag="tail_start_ns")},
+}
+MODE_SOLVE = {
+    "fiber": {
+        "core_radius_um": Field(NUMBER, 2.8, minimum=0.0, scale=UM),
+        "wavelength_nm": Field(NUMBER, D2_NM, minimum=1.0, scale=NM),
+        # read only when n_core and n_clad are absent; resolves into them
+        "numerical_aperture": Field(NUMBER, 0.12, minimum=0.0),
+        "n_core": Field(NUMBER),
+        "n_clad": Field(NUMBER),
+    },
+    "cavity": {
+        "length_m": Field(NUMBER, 0.33, minimum=0.0),
+        "effective_index": Field(NUMBER, 1.45),
+    },
+    "atom": {
+        "dipole_moment_cm": Field(NUMBER, CS_D2_CYCLING_DIPOLE),
+        "transition_wavelength_nm": Field(NUMBER, D2_NM, minimum=1.0, scale=NM),
+    },
+    "seed": SEED,
+}
+EXPERIMENT = {
+    "system": SYSTEM,
+    "sequence": {
+        "load_probability": Field(
+            NUMBER, 0.3, minimum=0.0, maximum=1.0, flag="load_probability"
+        ),
+        **_rates(g_max=7.8),
+        "detection": _probe(0.8e-12, 2e-3),
+        "spectroscopy": _probe(0.4e-12, 5e-3),
+        "background_rate_cps": Field(NUMBER, 1e4, minimum=0.0),
+        "detector_efficiency": Field(NUMBER, 0.5, minimum=0.0, maximum=1.0),
+        "trap_lifetime_s": Field(NUMBER, 11e-3, minimum=0.0),
+        "hold_time_s": Field(NUMBER, 0.0, minimum=0.0),
+        "rng_seed": Field(INTEGER, 0),
+        "bin_edges": Field(NUMBERS, list(experiment.DEFAULT_BIN_EDGES)),
+        "poisson_loading": Field(BOOL, False),
+        "normalization_drift": Field(NUMBER, 0.0),
+    },
+    "detunings": {**_rates(min=-25.0, max=25.0), "points": Field(INTEGER, 21, minimum=1)},
+    "sequences": Field(INTEGER, 1000, minimum=0, flag="sequences"),
+    "seed": SEED,
+}
+
+
+def _number(value, where: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    _fail(where, f"expected a finite number, got {value!r}")
+
+
+def _read(field: Field, value, where: str):
+    """Check one value against its field; return its resolved form."""
+    if field.kind == RATE:
+        if isinstance(value, dict):
+            _number(value.get("value"), f"{where}/value")
+        try:
+            return rate_to_json(rate_from_json(value), "rad_per_s")
+        except ParameterError as exc:
+            _fail(where, str(exc))
+    if field.kind == BOOL:
+        if not isinstance(value, bool):
+            _fail(where, f"expected true or false, got {value!r}")
+        return value
+    if field.kind == CHOICE:
+        if value not in field.choices:
+            _fail(where, "must be " + " | ".join(field.choices))
+        return value
+    if field.kind == PATH:
+        if not isinstance(value, str) or not value:
+            _fail(where, f"expected a file path, got {value!r}")
+        return value
+    if field.kind == NUMBERS:
+        if not isinstance(value, list):
+            _fail(where, f"expected a list of numbers, got {value!r}")
+        return [_number(v, f"{where}/{i}") for i, v in enumerate(value)]
+    if field.kind == INTEGER:
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(where, f"expected integer, got {value!r}")
+    else:
+        value = _number(value, where)
+    if field.minimum is not None and value < field.minimum:
+        _fail(where, f"must be >= {field.minimum}")
+    if field.maximum is not None and value > field.maximum:
+        _fail(where, f"must be <= {field.maximum}")
+    if field.scale is not None:
+        value = unit_exact_value(value * field.scale, field.scale)
     return value
 
 
-def _get_int(doc, pointer, key, default=None, minimum=None):
-    value = doc.get(key, default)
-    if value is None:
-        _fail(f"{pointer}/{key}", "required integer missing")
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{pointer}/{key}", f"expected integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(f"{pointer}/{key}", f"must be >= {minimum}")
-    return int(value)
-
-
-def _get_rate(doc, pointer, key, default_two_pi_mhz=None):
-    value = doc.get(key)
-    if value is None:
-        if default_two_pi_mhz is None:
-            _fail(f"{pointer}/{key}", "required rate missing")
-        return from_two_pi_mhz(default_two_pi_mhz)
-    try:
-        return float(rate_from_json(value))
-    except ParameterError as exc:
-        _fail(f"{pointer}/{key}", str(exc))
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:
+    """The resolved document: every field of ``schema`` read from ``doc``, or
+    from its flag in ``args`` when given, checked, with defaults filled in."""
+    if not isinstance(doc, dict):
+        _fail(pointer, "expected a JSON object")
+    resolved = {}
+    for key, field in schema.items():
+        where = f"{pointer}/{key}"
+        if isinstance(field, dict):
+            resolved[key] = _resolve(field, doc.get(key, {}), args, where)
+            continue
+        if field.flag and getattr(args, field.flag) is not None:
+            value = getattr(args, field.flag)
+        elif key in doc:
+            value = doc[key]
+        elif field.default is REQUIRED:
+            _fail(where, "required field missing")
+        elif field.default is None:
+            continue
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            value = field.default() if callable(field.default) else field.default
+        resolved[key] = _read(field, value, where)
+    return resolved
+
+
+@contextlib.contextmanager
+def _at(pointer: str):
+    """Report a ParameterError from building a resolved block at its pointer."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{pointer}: {exc}") from exc
+
+
+def _values(block: dict) -> dict:
+    """A resolved block with each rate object replaced by its rad/s value."""
+    return {k: v["value"] if isinstance(v, dict) else v for k, v in block.items()}
+
+
+def _system(block: dict) -> SystemParams:
+    return steady.validate(SystemParams(**_values(block)))
 
 
 def _load_config(path) -> dict:
@@ -112,52 +292,54 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _system_from_config(doc: dict, pointer="/system") -> SystemParams:
-    try:
-        params = SystemParams(
-            kappa1=_get_rate(doc, pointer, "kappa1", 0.12),
-            kappa2=_get_rate(doc, pointer, "kappa2", 3.08),
-            kappa_loss=_get_rate(doc, pointer, "kappa_loss", 3.2),
-            gamma=_get_rate(doc, pointer, "gamma", 2.6),
-            g=_get_rate(doc, pointer, "g", 7.8),
-            cavity_detuning=_get_rate(doc, pointer, "cavity_detuning", 0.0),
-        )
-        return steady.validate(params)
-    except ParameterError as exc:
-        raise ConfigError(f"{pointer}: {exc}") from exc
-
-
-def _system_to_config(params: SystemParams) -> dict:
-    # rad/s survives the JSON round trip bit-exactly; 2pi-MHz would not
-    return params.to_json_dict("rad_per_s")
-
-
-def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in config:
-        if isinstance(config["seed"], bool) or not isinstance(config["seed"], int):
-            raise ConfigError("/seed: expected integer")
-        return int(config["seed"])
-    return secrets.randbits(32)
-
-
-def _write_outputs(args, subcommand, resolved, inputs, outputs, seed, started):
-    primary = outputs[0]
+def _write_manifest(subcommand, config, inputs, outputs, started):
     manifest = dataio.RunManifest(
         subcommand=subcommand,
-        config=resolved,
+        config=config,
         inputs=[str(p) for p in inputs],
         outputs=[str(p) for p in outputs],
-        seed=seed,
+        seed=config["seed"],
         tool_version=__version__,
         duration_s=time.monotonic() - started,
     )
-    dataio.write_manifest(str(primary) + ".manifest.json", manifest)
+    dataio.write_manifest(str(outputs[0]) + ".manifest.json", manifest)
+
+
+def _output(outputs: list, directory: str, name: str) -> str:
+    """Path of output ``name`` in directory (created), recorded in outputs."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    outputs.append(path)
+    return path
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _report(outputs: list, directory: str, name: str, doc: dict):
+    """Write doc as the JSON output ``name`` and echo it to stdout."""
+    text = _json_text(doc)
+    dataio.atomic_write_text(_output(outputs, directory, name), text)
+    print(text, end="")
+
+
+def _detuning_grid(low: float, high: float, points: int) -> np.ndarray:
+    """Detunings (rad/s) spaced on the 2pi-MHz lattice, so CSVs round-trip exactly."""
+    return np.linspace(two_pi_mhz(low), two_pi_mhz(high), points) * from_two_pi_mhz(1.0)
+
+
+def _transmission_chart(series, title: str) -> str:
+    return svgplot.line_chart(
+        [(label, deltas / from_two_pi_mhz(1.0), values) for label, deltas, values in series],
+        title=title,
+        x_label="detuning (2π×MHz)",
+        y_label="T / T_empty(0)",
+    )
 
 
 def _dump_config_and_exit(resolved: dict):
-    print(json.dumps(resolved, indent=2, sort_keys=True))
+    print(_json_text(resolved), end="")
     return EXIT_OK
 
 
@@ -167,62 +349,21 @@ def _dump_config_and_exit(resolved: dict):
 
 def _cmd_spectrum(args) -> int:
     started = time.monotonic()
-    user = _load_config(args.config)
-    config = _merge(
-        {
-            "system": _system_to_config(_system_from_config(user.get("system", {}))),
-            "grid": {
-                "delta_min": rate_to_json(
-                    from_two_pi_mhz(
-                        args.delta_min_mhz
-                        if args.delta_min_mhz is not None
-                        else _get_number(user.get("grid", {}), "/grid", "delta_min_mhz", -25.0)
-                    ),
-                    "rad_per_s",
-                ),
-                "delta_max": rate_to_json(
-                    from_two_pi_mhz(
-                        args.delta_max_mhz
-                        if args.delta_max_mhz is not None
-                        else _get_number(user.get("grid", {}), "/grid", "delta_max_mhz", 25.0)
-                    ),
-                    "rad_per_s",
-                ),
-                "points": args.points
-                if args.points is not None
-                else _get_int(user.get("grid", {}), "/grid", "points", 501, minimum=2),
-            },
-        },
-        {},
-    )
-    if args.g_list_mhz is not None:
-        g_list = [float(v) for v in args.g_list_mhz.split(",") if v.strip()]
-    else:
-        g_list = user.get("g_list_two_pi_mhz")
-        if g_list is not None and not isinstance(g_list, list):
-            raise ConfigError("/g_list_two_pi_mhz: expected a list of numbers")
-    if g_list is not None:
-        config["g_list_two_pi_mhz"] = [float(v) for v in g_list]
-    seed = _resolve_seed(args, user)
-    config["seed"] = seed
+    config = _resolve(SPECTRUM, _load_config(args.config), args)
+    with _at("/system"):
+        system = _system(config["system"])
+    grid = config["grid"]
+    if not grid["delta_max_mhz"] > grid["delta_min_mhz"]:
+        raise ConfigError("/grid/delta_max_mhz: must exceed delta_min_mhz")
     if args.dump_config:
         return _dump_config_and_exit(config)
 
-    system = SystemParams.from_json_dict(config["system"])
-    steady.validate(system)
-    delta_min = rate_from_json(config["grid"]["delta_min"])
-    delta_max = rate_from_json(config["grid"]["delta_max"])
-    if not delta_max > delta_min:
-        raise ConfigError("/grid/delta_max: must exceed delta_min")
-    # Build the grid on the MHz lattice so CSV detunings round-trip exactly.
-    deltas = (
-        np.linspace(two_pi_mhz(delta_min), two_pi_mhz(delta_max), config["grid"]["points"])
-        * from_two_pi_mhz(1.0)
+    deltas = _detuning_grid(
+        from_two_pi_mhz(grid["delta_min_mhz"]), from_two_pi_mhz(grid["delta_max_mhz"]),
+        grid["points"],
     )
 
-    outputs = []
-    os.makedirs(args.out, exist_ok=True)
-    series = []
+    outputs, series = [], []
     g_values = (
         [from_two_pi_mhz(v) for v in config.get("g_list_two_pi_mhz", [])]
         or [system.g]
@@ -231,27 +372,14 @@ def _cmd_spectrum(args) -> int:
     for g in g_values:
         values = steady.normalized_transmission(system.with_g(g), deltas)
         spectrum = estimation.Spectrum(deltas=deltas, values=values)
-        name = (
-            f"spectrum_g{two_pi_mhz(g):.3f}.csv" if multi else "spectrum.csv"
-        )
-        path = os.path.join(args.out, name)
-        dataio.write_spectrum_csv(path, spectrum)
-        outputs.append(path)
-        series.append(
-            (f"g = 2π×{two_pi_mhz(g):.1f} MHz", deltas / from_two_pi_mhz(1.0), values)
-        )
+        name = f"spectrum_g{two_pi_mhz(g):.3f}.csv" if multi else "spectrum.csv"
+        dataio.write_spectrum_csv(_output(outputs, args.out, name), spectrum)
+        series.append((f"g = 2π×{two_pi_mhz(g):.1f} MHz", deltas, values))
     if args.plot:
-        svg = svgplot.line_chart(
-            series,
-            title="Normalized transmission",
-            x_label="detuning (2π×MHz)",
-            y_label="T / T_empty(0)",
-        )
-        path = os.path.join(args.out, "spectrum.svg")
-        dataio.atomic_write_text(path, svg)
-        outputs.append(path)
+        svg = _transmission_chart(series, "Normalized transmission")
+        dataio.atomic_write_text(_output(outputs, args.out, "spectrum.svg"), svg)
 
-    _write_outputs(args, "spectrum", config, [], outputs, seed, started)
+    _write_manifest("spectrum", config, [], outputs, started)
     return EXIT_OK
 
 
@@ -259,79 +387,31 @@ def _cmd_spectrum(args) -> int:
 # ringdown
 
 
-def _ringdown_params_from_config(doc: dict, pointer="/ringdown") -> RingdownParams:
-    try:
-        return RingdownParams(
-            kappa1=_get_rate(doc, pointer, "kappa1", 0.12),
-            kappa2=_get_rate(doc, pointer, "kappa2", 3.08),
-            kappa_loss=_get_rate(doc, pointer, "kappa_loss", 3.2),
-            kappa_s=_get_rate(doc, pointer, "kappa_s", 50.0),
-            s0=_get_number(doc, pointer, "s0", 1.0),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{pointer}: {exc}") from exc
-
-
 def _cmd_ringdown(args) -> int:
     started = time.monotonic()
-    user = _load_config(args.config)
-    rd_doc = user.get("ringdown", {})
-    params = _ringdown_params_from_config(rd_doc)
-    grid_doc = user.get("grid", {})
-    t_min_ns = (
-        args.t_min_ns
-        if args.t_min_ns is not None
-        else _get_number(grid_doc, "/grid", "t_min_ns", -20.0)
-    )
-    t_max_ns = (
-        args.t_max_ns
-        if args.t_max_ns is not None
-        else _get_number(grid_doc, "/grid", "t_max_ns", 250.0)
-    )
-    points = (
-        args.points
-        if args.points is not None
-        else _get_int(grid_doc, "/grid", "points", 541, minimum=2)
-    )
-    method = args.method or user.get("method", "both")
-    if method not in ("analytic", "integrate", "both"):
-        raise ConfigError("/method: must be analytic | integrate | both")
-    if not t_max_ns > t_min_ns:
+    config = _resolve(RINGDOWN, _load_config(args.config), args)
+    with _at("/ringdown"):
+        params = RingdownParams(**_values(config["ringdown"]))
+    grid = config["grid"]
+    if not grid["t_max_ns"] > grid["t_min_ns"]:
         raise ConfigError("/grid/t_max_ns: must exceed t_min_ns")
-
-    seed = _resolve_seed(args, user)
-    config = {
-        "ringdown": {
-            "kappa1": rate_to_json(params.kappa1, "rad_per_s"),
-            "kappa2": rate_to_json(params.kappa2, "rad_per_s"),
-            "kappa_loss": rate_to_json(params.kappa_loss, "rad_per_s"),
-            "kappa_s": rate_to_json(params.kappa_s, "rad_per_s"),
-            "s0": params.s0,
-        },
-        "grid": {"t_min_ns": t_min_ns, "t_max_ns": t_max_ns, "points": points},
-        "method": method,
-        "seed": seed,
-    }
+    method = config["method"]
+    if args.compare and method != "both":
+        raise ConfigError("/method: --compare needs method = both")
     if args.dump_config:
         return _dump_config_and_exit(config)
 
-    t_grid = np.linspace(t_min_ns, t_max_ns, points) * 1e-9  # ns lattice
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    traces = {}
+    t_grid = np.linspace(grid["t_min_ns"], grid["t_max_ns"], grid["points"]) * 1e-9
+    outputs, traces = [], {}
     if method in ("analytic", "both"):
         traces["analytic"] = ringdown.analytic_trace(params, t_grid)
     if method in ("integrate", "both"):
         traces["integrated"] = ringdown.integrate_ringdown(params, t_grid)
     for name, trace in traces.items():
-        path = os.path.join(args.out, f"ringdown_{name}.csv")
-        dataio.write_trace_csv(path, trace)
-        outputs.append(path)
+        dataio.write_trace_csv(_output(outputs, args.out, f"ringdown_{name}.csv"), trace)
 
     summary = {}
     if args.compare:
-        if len(traces) < 2:
-            raise ConfigError("/method: --compare needs method = both")
         reference = traces["analytic"].intensities
         deviation = float(
             np.max(np.abs(traces["integrated"].intensities - reference))
@@ -345,9 +425,8 @@ def _cmd_ringdown(args) -> int:
             (name, trace.times * 1e9, trace.intensities)
             for name, trace in traces.items()
         ]
-        path = os.path.join(args.out, "ringdown.svg")
         dataio.atomic_write_text(
-            path,
+            _output(outputs, args.out, "ringdown.svg"),
             svgplot.line_chart(
                 series,
                 title="Reflected intensity",
@@ -355,7 +434,6 @@ def _cmd_ringdown(args) -> int:
                 y_label="|s_out|^2 / s0^2",
             ),
         )
-        outputs.append(path)
 
     if args.triptych:
         other = params.kappa1 + params.kappa_loss
@@ -365,28 +443,19 @@ def _cmd_ringdown(args) -> int:
             ("critical", other),
             ("overcoupled", 2.0 * other),
         ):
-            p = RingdownParams(
-                kappa1=params.kappa1,
-                kappa2=kappa2,
-                kappa_loss=params.kappa_loss,
-                kappa_s=params.kappa_s,
-                s0=params.s0,
-            )
-            trace = ringdown.analytic_trace(p, t_grid)
+            trace = ringdown.analytic_trace(dataclasses.replace(params, kappa2=kappa2), t_grid)
             panels.append((title, [("analytic", trace.times * 1e9, trace.intensities)]))
-        path = os.path.join(args.out, "ringdown_triptych.svg")
         dataio.atomic_write_text(
-            path,
+            _output(outputs, args.out, "ringdown_triptych.svg"),
             svgplot.triptych(panels, x_label="t (ns)", y_label="|s_out|^2 / s0^2"),
         )
-        outputs.append(path)
 
     if summary:
-        path = os.path.join(args.out, "ringdown_summary.json")
-        dataio.atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        outputs.append(path)
+        dataio.atomic_write_text(
+            _output(outputs, args.out, "ringdown_summary.json"), _json_text(summary)
+        )
 
-    _write_outputs(args, "ringdown", config, [], outputs, seed, started)
+    _write_manifest("ringdown", config, [], outputs, started)
     return EXIT_OK
 
 
@@ -397,33 +466,14 @@ def _cmd_ringdown(args) -> int:
 def _cmd_fit(args) -> int:
     started = time.monotonic()
     user = _load_config(args.config)
-    recipe = args.recipe or user.get("recipe")
-    if recipe not in ("lorentzian", "rabi-g", "exponential", "ringdown-tail"):
-        raise ConfigError(
-            "/recipe: must be lorentzian | rabi-g | exponential | ringdown-tail"
-        )
-    data_path = args.data or user.get("data")
-    if not data_path:
-        raise ConfigError("/data: input data path required")
-    seed = _resolve_seed(args, user)
-
-    config = {"recipe": recipe, "data": str(data_path), "seed": seed}
-    fixed_doc = user.get("fixed", {})
     if args.fixed:
-        with open(args.fixed, "r", encoding="utf-8") as handle:
-            fixed_doc = json.load(handle)
+        user["fixed"] = _load_config(args.fixed)
+    config = _resolve(FIT, user, args)
+    recipe, data_path = config["recipe"], config["data"]
+    config.update(_resolve(FIT_RECIPE_FIELDS[recipe], user, args))
     if recipe == "rabi-g":
-        fixed = _system_from_config(fixed_doc, "/fixed")
-        config["fixed"] = _system_to_config(fixed)
-    if recipe == "ringdown-tail":
-        tail_ns = (
-            args.tail_start_ns
-            if args.tail_start_ns is not None
-            else _get_number(user, "", "tail_start_ns", 0.0)
-        )
-        config["tail_start_ns"] = tail_ns
-    if recipe == "lorentzian":
-        config["float_center"] = bool(args.float_center or user.get("float_center"))
+        with _at("/fixed"):
+            fixed = _system(config["fixed"])
     if args.dump_config:
         return _dump_config_and_exit(config)
 
@@ -453,14 +503,9 @@ def _cmd_fit(args) -> int:
             result = estimation.fit_rabi_g(spectrum, fixed)
             derived = {"g": rate_to_json(result["g"])}
 
-    os.makedirs(args.out, exist_ok=True)
-    doc = result.as_dict()
-    doc["derived"] = derived
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    path = os.path.join(args.out, "fit_result.json")
-    dataio.atomic_write_text(path, text)
-    print(text, end="")
-    _write_outputs(args, "fit", config, [str(data_path)], [path], seed, started)
+    outputs = []
+    _report(outputs, args.out, "fit_result.json", {**result.as_dict(), "derived": derived})
+    _write_manifest("fit", config, [data_path], outputs, started)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
@@ -470,69 +515,42 @@ def _cmd_fit(args) -> int:
 
 def _cmd_mode_solve(args) -> int:
     started = time.monotonic()
-    user = _load_config(args.config)
-    fiber_doc = user.get("fiber", {})
-    wavelength = _get_number(
-        fiber_doc, "/fiber", "wavelength_nm", CS_D2_WAVELENGTH * 1e9, minimum=1.0
-    ) * 1e-9
-    core_radius = _get_number(fiber_doc, "/fiber", "core_radius_um", 2.8, minimum=0.0) * 1e-6
-    try:
+    config = _resolve(MODE_SOLVE, _load_config(args.config), args)
+    fiber_doc = config["fiber"]
+    numerical_aperture = fiber_doc.pop("numerical_aperture")
+    core_radius = fiber_doc["core_radius_um"] * UM
+    wavelength = fiber_doc["wavelength_nm"] * NM
+    with _at("/fiber"):
         if "n_core" in fiber_doc or "n_clad" in fiber_doc:
+            for key in ("n_core", "n_clad"):
+                if key not in fiber_doc:
+                    _fail(f"/fiber/{key}", "required with the other index")
             fiber = fibermode.FiberSpec(
-                core_radius=core_radius,
-                n_core=_get_number(fiber_doc, "/fiber", "n_core"),
-                n_clad=_get_number(fiber_doc, "/fiber", "n_clad"),
-                wavelength=wavelength,
+                core_radius, fiber_doc["n_core"], fiber_doc["n_clad"], wavelength
             )
         else:
             fiber = fibermode.FiberSpec.from_numerical_aperture(
-                core_radius,
-                _get_number(fiber_doc, "/fiber", "numerical_aperture", 0.12, minimum=0.0),
-                wavelength,
+                core_radius, numerical_aperture, wavelength
             )
-    except ParameterError as exc:
-        raise ConfigError(f"/fiber: {exc}") from exc
-
-    cavity_doc = user.get("cavity", {})
-    geom = CavityGeometry(
-        length=_get_number(cavity_doc, "/cavity", "length_m", 0.33, minimum=0.0),
-        effective_index=_get_number(cavity_doc, "/cavity", "effective_index", 1.45),
-    )
-    atom_doc = user.get("atom", {})
-    atom_wavelength = (
-        _get_number(
-            atom_doc, "/atom", "transition_wavelength_nm", CS_D2_WAVELENGTH * 1e9
+            fiber_doc.update(n_core=fiber.n_core, n_clad=fiber.n_clad)
+    with _at("/cavity"):
+        geom = CavityGeometry(
+            length=config["cavity"]["length_m"],
+            effective_index=config["cavity"]["effective_index"],
         )
-        * 1e-9
-    )
-    atom = fibermode.AtomSpec(
-        dipole_moment=_get_number(
-            atom_doc, "/atom", "dipole_moment_cm", CS_D2_CYCLING_DIPOLE
-        ),
-        transition_angular_frequency=2.0 * np.pi * 299792458.0 / atom_wavelength,
-    )
-    seed = _resolve_seed(args, user)
-    config = {
-        "fiber": {
-            "core_radius_um": unit_exact_value(core_radius, 1e-6),
-            "n_core": fiber.n_core,
-            "n_clad": fiber.n_clad,
-            "wavelength_nm": unit_exact_value(wavelength, 1e-9),
-        },
-        "cavity": {"length_m": geom.length, "effective_index": geom.effective_index},
-        "atom": {
-            "dipole_moment_cm": atom.dipole_moment,
-            "transition_wavelength_nm": unit_exact_value(atom_wavelength, 1e-9),
-        },
-        "seed": seed,
-    }
+    atom_doc = config["atom"]
+    with _at("/atom"):
+        atom = fibermode.AtomSpec(
+            dipole_moment=atom_doc["dipole_moment_cm"],
+            transition_angular_frequency=(
+                2.0 * np.pi * C / (atom_doc["transition_wavelength_nm"] * NM)
+            ),
+        )
     if args.dump_config:
         return _dump_config_and_exit(config)
 
-    import warnings as _warnings
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         mode = fibermode.solve_fundamental_mode(fiber)
     lp01 = fibermode.solve_lp01(fiber)
     volume = fibermode.mode_volume(mode, geom)
@@ -549,12 +567,9 @@ def _cmd_mode_solve(args) -> int:
         "tail_truncation_area_um2": mode.tail_truncation_error * 1e12,
         "warnings": [str(w.message) for w in caught],
     }
-    os.makedirs(args.out, exist_ok=True)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    path = os.path.join(args.out, "mode_solution.json")
-    dataio.atomic_write_text(path, text)
-    print(text, end="")
-    _write_outputs(args, "mode-solve", config, [], [path], seed, started)
+    outputs = []
+    _report(outputs, args.out, "mode_solution.json", report)
+    _write_manifest("mode-solve", config, [], outputs, started)
     return EXIT_OK
 
 
@@ -562,124 +577,58 @@ def _cmd_mode_solve(args) -> int:
 # experiment
 
 
-def _sequence_from_config(doc: dict, pointer="/sequence") -> experiment.SequenceConfig:
-    def probe(key, default_power, default_duration):
-        sub = doc.get(key, {})
-        sub_pointer = f"{pointer}/{key}"
-        return experiment.ProbeConfig(
-            power=_get_number(sub, sub_pointer, "power_w", default_power, minimum=0.0),
-            duration=_get_number(
-                sub, sub_pointer, "duration_s", default_duration, minimum=0.0
-            ),
-            detuning=_get_rate(sub, sub_pointer, "detuning", 0.0),
-            wavelength=_get_number(
-                sub, sub_pointer, "wavelength_nm", CS_D2_WAVELENGTH * 1e9
-            )
-            * 1e-9,
+def _sequence(doc: dict) -> experiment.SequenceConfig:
+    probes = {
+        key: experiment.ProbeConfig(
+            power=doc[key]["power_w"],
+            duration=doc[key]["duration_s"],
+            detuning=doc[key]["detuning"]["value"],
+            wavelength=doc[key]["wavelength_nm"] * NM,
         )
-
-    edges = doc.get("bin_edges", list(experiment.DEFAULT_BIN_EDGES))
-    if not isinstance(edges, list):
-        raise ConfigError(f"{pointer}/bin_edges: expected a list of 5 numbers")
-    try:
-        return experiment.SequenceConfig(
-            load_probability=_get_number(
-                doc, pointer, "load_probability", 0.3, minimum=0.0, maximum=1.0
-            ),
-            g_max=_get_rate(doc, pointer, "g_max", 7.8),
-            detection=probe("detection", 0.8e-12, 2e-3),
-            spectroscopy=probe("spectroscopy", 0.4e-12, 5e-3),
-            background_rate=_get_number(
-                doc, pointer, "background_rate_cps", 1e4, minimum=0.0
-            ),
-            detector_efficiency=_get_number(
-                doc, pointer, "detector_efficiency", 0.5, minimum=0.0, maximum=1.0
-            ),
-            trap_lifetime=_get_number(
-                doc, pointer, "trap_lifetime_s", 11e-3, minimum=0.0
-            ),
-            hold_time=_get_number(doc, pointer, "hold_time_s", 0.0, minimum=0.0),
-            rng_seed=_get_int(doc, pointer, "rng_seed", 0),
-            bin_edges=tuple(float(e) for e in edges),
-            poisson_loading=bool(doc.get("poisson_loading", False)),
-            normalization_drift=_get_number(
-                doc, pointer, "normalization_drift", 0.0
-            ),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{pointer}: {exc}") from exc
+        for key in ("detection", "spectroscopy")
+    }
+    return experiment.SequenceConfig(
+        load_probability=doc["load_probability"],
+        g_max=doc["g_max"]["value"],
+        background_rate=doc["background_rate_cps"],
+        detector_efficiency=doc["detector_efficiency"],
+        trap_lifetime=doc["trap_lifetime_s"],
+        hold_time=doc["hold_time_s"],
+        rng_seed=doc["rng_seed"],
+        bin_edges=tuple(doc["bin_edges"]),
+        poisson_loading=doc["poisson_loading"],
+        normalization_drift=doc["normalization_drift"],
+        **probes,
+    )
 
 
 def _cmd_experiment(args) -> int:
     started = time.monotonic()
-    user = _load_config(args.config)
-    system = _system_from_config(user.get("system", {}))
-    seq_doc = dict(user.get("sequence", {}))
-    if args.load_probability is not None:
-        seq_doc["load_probability"] = args.load_probability
-    config_seq = _sequence_from_config(seq_doc)
-    det_doc = user.get("detunings", {})
-    d_min = _get_rate(det_doc, "/detunings", "min", -25.0)
-    d_max = _get_rate(det_doc, "/detunings", "max", 25.0)
-    d_points = _get_int(det_doc, "/detunings", "points", 21, minimum=1)
+    config = _resolve(EXPERIMENT, _load_config(args.config), args)
+    with _at("/system"):
+        system = _system(config["system"])
+    with _at("/sequence"):
+        sequence = _sequence(config["sequence"])
+    n_sequences = config["sequences"]
+    # run_ensemble scales sequence i's signal by 1 + drift * i
+    if n_sequences and not 1.0 + sequence.normalization_drift * (n_sequences - 1) > 0.0:
+        _fail(
+            "/sequence/normalization_drift",
+            f"signal gain 1 + drift * i must stay positive up to i = {n_sequences - 1}",
+        )
+    d_min, d_max = (config["detunings"][k]["value"] for k in ("min", "max"))
     if not d_max >= d_min:
         raise ConfigError("/detunings/max: must be >= min")
-    n_sequences = (
-        args.sequences
-        if args.sequences is not None
-        else _get_int(user, "", "sequences", 1000, minimum=0)
-    )
-    seed = _resolve_seed(args, user)
-
-    config = {
-        "system": _system_to_config(system),
-        "sequence": {
-            "load_probability": config_seq.load_probability,
-            "g_max": rate_to_json(config_seq.g_max, "rad_per_s"),
-            "detection": {
-                "power_w": config_seq.detection.power,
-                "duration_s": config_seq.detection.duration,
-                "detuning": rate_to_json(config_seq.detection.detuning, "rad_per_s"),
-                "wavelength_nm": unit_exact_value(config_seq.detection.wavelength, 1e-9),
-            },
-            "spectroscopy": {
-                "power_w": config_seq.spectroscopy.power,
-                "duration_s": config_seq.spectroscopy.duration,
-                "detuning": rate_to_json(config_seq.spectroscopy.detuning, "rad_per_s"),
-                "wavelength_nm": unit_exact_value(config_seq.spectroscopy.wavelength, 1e-9),
-            },
-            "background_rate_cps": config_seq.background_rate,
-            "detector_efficiency": config_seq.detector_efficiency,
-            "trap_lifetime_s": config_seq.trap_lifetime,
-            "hold_time_s": config_seq.hold_time,
-            "rng_seed": config_seq.rng_seed,
-            "bin_edges": list(config_seq.bin_edges),
-            "poisson_loading": config_seq.poisson_loading,
-            "normalization_drift": config_seq.normalization_drift,
-        },
-        "detunings": {
-            "min": rate_to_json(d_min, "rad_per_s"),
-            "max": rate_to_json(d_max, "rad_per_s"),
-            "points": d_points,
-        },
-        "sequences": n_sequences,
-        "seed": seed,
-    }
     if args.dump_config:
         return _dump_config_and_exit(config)
 
-    detunings = (
-        np.linspace(two_pi_mhz(d_min), two_pi_mhz(d_max), d_points)
-        * from_two_pi_mhz(1.0)
-    )
+    seed = config["seed"]
+    detunings = _detuning_grid(d_min, d_max, config["detunings"]["points"])
     records = experiment.run_ensemble(
-        system, config_seq, detunings, n_sequences, base_seed=seed
+        system, sequence, detunings, n_sequences, base_seed=seed
     )
-    os.makedirs(args.out, exist_ok=True)
     outputs = []
-    events_path = os.path.join(args.out, "events.jsonl")
-    dataio.write_events_jsonl(events_path, records)
-    outputs.append(events_path)
+    dataio.write_events_jsonl(_output(outputs, args.out, "events.jsonl"), records)
 
     occupancy = experiment.level_occupancy(records)
     summary = {
@@ -694,65 +643,69 @@ def _cmd_experiment(args) -> int:
     }
     series = []
     if records:
-        spectra = experiment.accumulate_spectra(records, system, config_seq)
+        spectra = experiment.accumulate_spectra(records, system, sequence)
         for level, spectrum in sorted(spectra.items()):
-            path = os.path.join(args.out, f"spectrum_level_{level}.csv")
-            dataio.write_spectrum_csv(path, spectrum)
-            outputs.append(path)
-            series.append(
-                (
-                    f"level {level}",
-                    spectrum.deltas / from_two_pi_mhz(1.0),
-                    spectrum.values,
-                )
+            dataio.write_spectrum_csv(
+                _output(outputs, args.out, f"spectrum_level_{level}.csv"), spectrum
             )
+            series.append((f"level {level}", spectrum.deltas, spectrum.values))
             if len(spectrum) >= 3 and occupancy[level] >= 5:
+                # level 1 is the empty cavity; higher levels fit g
                 try:
                     if level == 1:
-                        fit = estimation.fit_empty_cavity(spectrum)
-                        summary["fits"][str(level)] = {
-                            **fit.as_dict(),
-                            "derived": {"kappa": rate_to_json(fit["kappa"])},
-                        }
+                        name, fit = "kappa", estimation.fit_empty_cavity(spectrum)
                     else:
-                        fit = estimation.fit_rabi_g(spectrum, system)
-                        summary["fits"][str(level)] = {
-                            **fit.as_dict(),
-                            "derived": {"g": rate_to_json(fit["g"])},
-                        }
+                        name, fit = "g", estimation.fit_rabi_g(spectrum, system)
+                    summary["fits"][str(level)] = {
+                        **fit.as_dict(), "derived": {name: rate_to_json(fit[name])}
+                    }
                 except (ParameterError, estimation.FitError) as exc:
                     summary["fits"][str(level)] = {"error": str(exc)}
     else:
         summary["note"] = "no sequences requested; outputs are empty"
 
     if args.plot and series:
-        path = os.path.join(args.out, "spectra_by_level.svg")
-        dataio.atomic_write_text(
-            path,
-            svgplot.line_chart(
-                series,
-                title="Per-level normalized spectra",
-                x_label="detuning (2π×MHz)",
-                y_label="T / T_empty(0)",
-            ),
-        )
-        outputs.append(path)
-
-    summary_path = os.path.join(args.out, "summary.json")
-    dataio.atomic_write_text(
-        summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    outputs.append(summary_path)
-    _write_outputs(args, "experiment", config, [], outputs, seed, started)
+        svg = _transmission_chart(series, "Per-level normalized spectra")
+        dataio.atomic_write_text(_output(outputs, args.out, "spectra_by_level.svg"), svg)
+    dataio.atomic_write_text(_output(outputs, args.out, "summary.json"), _json_text(summary))
+    _write_manifest("experiment", config, [], outputs, started)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
+def _comma_floats(text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
+FLAG_TYPES = {NUMBER: float, INTEGER: int, NUMBERS: _comma_floats, PATH: str}
+
+
+def _add_flags(parser, schema: dict, pointer: str = ""):
+    """Add the overriding flag of every field in schema that names one."""
+    for key, field in schema.items():
+        where = f"{pointer}/{key}"
+        if isinstance(field, dict):
+            _add_flags(parser, field, where)
+        elif field.flag:
+            if field.kind == BOOL:
+                options = {"action": "store_true", "default": None}
+            elif field.kind == CHOICE:
+                options = {"choices": field.choices}
+            else:
+                options = {"type": FLAG_TYPES[field.kind]}
+            flag = "--" + field.flag.replace("_", "-")
+            parser.add_argument(flag, help=f"overrides {where}", **options)
+
+
+def _add_common(parser, *schemas):
     parser.add_argument("--config", help="JSON config document")
-    parser.add_argument("--seed", type=int, help="RNG seed (recorded in manifest)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--plot", action="store_true", help="emit SVG plot(s)")
     parser.add_argument(
@@ -760,6 +713,8 @@ def _add_common(parser):
         action="store_true",
         help="print the fully resolved config and exit",
     )
+    for schema in schemas:
+        _add_flags(parser, schema)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -771,19 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("spectrum", help="steady-state transmission spectrum")
-    _add_common(p)
-    p.add_argument("--delta-min-mhz", type=float)
-    p.add_argument("--delta-max-mhz", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--g-list-mhz", help="comma-separated g values (2pi x MHz) to overlay")
+    _add_common(p, SPECTRUM)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("ringdown", help="reflection ring-down traces")
-    _add_common(p)
-    p.add_argument("--t-min-ns", type=float)
-    p.add_argument("--t-max-ns", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--method", choices=("analytic", "integrate", "both"))
+    _add_common(p, RINGDOWN)
     p.add_argument("--triptych", action="store_true",
                    help="three-panel under/critical/over comparison SVG")
     p.add_argument("--compare", action="store_true",
@@ -791,22 +738,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ringdown)
 
     p = sub.add_parser("fit", help="run a fit recipe on a CSV file")
-    _add_common(p)
-    p.add_argument("--recipe", choices=("lorentzian", "rabi-g", "exponential", "ringdown-tail"))
-    p.add_argument("--data", help="input CSV (spectrum or trace format)")
+    _add_common(p, FIT, *FIT_RECIPE_FIELDS.values())
     p.add_argument("--fixed", help="JSON file with fixed parameters (rabi-g)")
-    p.add_argument("--tail-start-ns", type=float, help="tail window start (ringdown-tail)")
-    p.add_argument("--float-center", action="store_true", help="float the Lorentzian center")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("mode-solve", help="fiber fundamental mode and coupling estimate")
-    _add_common(p)
+    _add_common(p, MODE_SOLVE)
     p.set_defaults(func=_cmd_mode_solve)
 
     p = sub.add_parser("experiment", help="Monte Carlo measurement pipeline")
-    _add_common(p)
-    p.add_argument("--sequences", type=int)
-    p.add_argument("--load-probability", type=float)
+    _add_common(p, EXPERIMENT)
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -834,9 +775,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

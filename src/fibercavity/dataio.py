@@ -1,7 +1,8 @@
 """File formats: spectrum/trace CSV, event JSON-lines, run manifests.
 
 Floats are written with ``repr``, which round-trips bit-exactly through
-``float()`` in Python 3. Writers refuse NaN/Inf. All files are written
+``float()`` in Python 3. Writers refuse NaN/Inf; readers raise DataFormatError,
+naming the line, on a cell that is not a finite number. All files are written
 atomically (temp file in the target directory, then rename).
 """
 
@@ -100,24 +101,38 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     return buffer.getvalue()
 
 
-def spectrum_from_csv(text: str) -> Spectrum:
+def _csv_columns(text: str, header: tuple, what: str, optional: str | None = None):
+    """Numeric columns of a CSV document that starts with ``header``, plus the
+    ``optional`` column when the header names it; errors name the line."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or tuple(rows[0][:2]) != SPECTRUM_HEADER:
-        raise DataFormatError(
-            f"spectrum CSV must start with header {','.join(SPECTRUM_HEADER)}"
-        )
-    has_sigma = len(rows[0]) >= 3 and rows[0][2] == "sigma"
-    deltas, values, sigmas = [], [], []
-    for row in rows[1:]:
-        deltas.append(float(row[0]) * TWO_PI_MHZ)
-        values.append(float(row[1]))
-        if has_sigma:
-            sigmas.append(float(row[2]))
+    first = next((row for row in reader if row), None)
+    if first is None or tuple(first[: len(header)]) != header:
+        raise DataFormatError(f"{what} CSV must start with header {','.join(header)}")
+    has_optional = len(first) > len(header) and first[len(header)] == optional
+    width = len(header) + has_optional
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = [float(cell) for cell in row[:width]]
+        except ValueError:
+            values = [math.nan]
+        if len(values) < width or not all(map(math.isfinite, values)):
+            raise DataFormatError(
+                f"{what} CSV line {reader.line_num}: expected {width} finite numbers, "
+                f"got {row!r}"
+            )
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, width).T.copy()
+
+
+def spectrum_from_csv(text: str) -> Spectrum:
+    columns = _csv_columns(text, SPECTRUM_HEADER, "spectrum", optional="sigma")
     return Spectrum(
-        deltas=np.array(deltas),
-        values=np.array(values),
-        sigmas=np.array(sigmas) if has_sigma else None,
+        deltas=columns[0] * TWO_PI_MHZ,
+        values=columns[1],
+        sigmas=columns[2] if len(columns) > 2 else None,
     )
 
 
@@ -143,15 +158,8 @@ def trace_to_csv(trace: RingdownTrace) -> str:
 
 
 def trace_from_csv(text: str) -> RingdownTrace:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or tuple(rows[0][:2]) != TRACE_HEADER:
-        raise DataFormatError(
-            f"trace CSV must start with header {','.join(TRACE_HEADER)}"
-        )
-    times = np.array([float(row[0]) * NS for row in rows[1:]])
-    intensities = np.array([float(row[1]) for row in rows[1:]])
-    return RingdownTrace(times=times, intensities=intensities)
+    times, intensities = _csv_columns(text, TRACE_HEADER, "trace")
+    return RingdownTrace(times=times * NS, intensities=intensities)
 
 
 def write_trace_csv(path, trace: RingdownTrace):

@@ -5,7 +5,10 @@ schedule: the damping multiplies the diagonal of J^T J, grows x10 when a step
 fails and shrinks /10 when it succeeds, starting from 1e-3. Convergence is
 declared when the relative change of the weighted squared-residual sum drops
 below 1e-10 or the gradient max-norm drops below 1e-10; the iteration cap is
-200, after which the best point is returned with ``converged=False``.
+200, after which the best point is returned with ``converged=False``. When no
+damped step lowers the cost, the fit stops where it is and is converged if
+the undamped Gauss-Newton step predicts a relative cost reduction of at most
+1e-10 (MINPACK's ``ftol`` test, Moré 1978), else not.
 
 Derivatives come from central finite differences with a per-parameter
 relative step of 1e-6 unless a model supplies an analytic Jacobian. Weights
@@ -234,7 +237,14 @@ def fit_least_squares(
             damping *= 10.0
         iterations += 1
         if not stepped:
-            break  # damping exhausted: stuck at the current point
+            # Damping exhausted: no step lowers the cost. That is the optimum
+            # when the undamped Gauss-Newton step itself predicts a relative
+            # reduction within residual_tol (MINPACK's ftol test on prered).
+            jw_scaled = jw / scale
+            gn_step = np.linalg.lstsq(jw_scaled, residual, rcond=None)[0]
+            predicted = float(np.sum((jw_scaled @ gn_step) ** 2))
+            converged = predicted <= residual_tol * cost
+            break
         if previous_cost - cost <= residual_tol * max(previous_cost, 1e-300):
             converged = True
             break

@@ -52,7 +52,6 @@ class RingdownParams:
     kappa_loss: float
     kappa_s: float = DEFAULT_KAPPA_S
     s0: float = 1.0
-    omega0: float = 0.0
 
     @property
     def kappa(self) -> float:
@@ -107,8 +106,6 @@ def cavity_field_analytic(params: RingdownParams, t):
         - r * np.exp(-kappa_s * np.maximum(t, 0.0))
     )
     field = np.where(t < 0.0, steady, after).astype(complex)
-    if params.omega0 != 0.0:
-        field = field * np.exp(1j * params.omega0 * t)
     return complex(field) if field.ndim == 0 else field
 
 

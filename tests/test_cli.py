@@ -220,6 +220,23 @@ def test_experiment_outputs_and_replay(tmp_path):
         assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
 
 
+def test_spectrum_manifest_replays_byte_identically(tmp_path):
+    out1 = tmp_path / "s1"
+    assert run_cli(
+        "spectrum", "--out", str(out1), "--delta-min-mhz", "-10", "--delta-max-mhz", "10",
+        "--points", "5", "--g-list-mhz", "1.3,7.8",
+    ) == EXIT_OK
+    manifest = read_manifest(str(out1 / "spectrum_g1.300.csv") + ".manifest.json")
+    replay_cfg = tmp_path / "replay.json"
+    replay_cfg.write_text(json.dumps(manifest.config))
+    out2 = tmp_path / "s2"
+    assert run_cli("spectrum", "--config", str(replay_cfg), "--out", str(out2)) == EXIT_OK
+    names = sorted(p.name for p in out1.glob("*.csv"))
+    assert names == ["spectrum_g1.300.csv", "spectrum_g7.800.csv"]
+    for name in names:
+        assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
+
+
 def test_experiment_zero_sequences(tmp_path):
     out = tmp_path / "e0"
     assert run_cli(
@@ -296,3 +313,61 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def test_fit_fixed_malformed_json_is_config_error(tmp_path, capsys):
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text('{"g": {"value": 0.0, ')
+    assert run_cli(
+        "fit", "--recipe", "rabi-g", "--data", str(tmp_path / "absent.csv"),
+        "--fixed", str(fixed), "--out", str(tmp_path / "fit"),
+    ) == EXIT_CONFIG
+    assert "invalid JSON in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "recipe, header",
+    [("lorentzian", "delta_two_pi_mhz,transmission_normalized"),
+     ("ringdown-tail", "t_ns,intensity_normalized")],
+)
+@pytest.mark.parametrize("cell", ["abc", "inf"])
+def test_csv_bad_cell_is_data_format_error(tmp_path, capsys, recipe, header, cell):
+    data = tmp_path / "data.csv"
+    data.write_text(f"{header}\n1.0,0.5\n2.0,{cell}\n3.0,0.25\n")
+    assert run_cli(
+        "fit", "--recipe", recipe, "--data", str(data), "--out", str(tmp_path / "fit"),
+    ) == EXIT_CONFIG
+    assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, pointer",
+    [
+        ("experiment", {"sequence": {"bin_edges": [math.nan, 0.3, 0.5, 0.7, 0.9]}},
+         "/sequence/bin_edges/0"),
+        ("experiment", {"sequence": {"hold_time_s": math.nan}}, "/sequence/hold_time_s"),
+        ("experiment", {"sequence": {"background_rate_cps": math.inf}},
+         "/sequence/background_rate_cps"),
+        ("ringdown", {"ringdown": {"s0": math.inf}}, "/ringdown/s0"),
+        ("spectrum", {"g_list_two_pi_mhz": [1.3, -math.inf]}, "/g_list_two_pi_mhz/1"),
+        ("spectrum", {"grid": {"delta_max_mhz": 10**400}}, "/grid/delta_max_mhz"),
+        ("experiment", {"sequence": {"normalization_drift": -0.01}, "sequences": 300},
+         "/sequence/normalization_drift"),
+    ],
+)
+def test_bad_numbers_rejected_before_running(tmp_path, capsys, subcommand, config, pointer):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(subcommand, "--config", str(cfg), "--out", str(out), "--seed", "1") == EXIT_CONFIG
+    assert pointer in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_flag_and_negative_seed_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--delta-min-mhz", "nan", "--out", str(out)) == EXIT_CONFIG
+    assert "/grid/delta_min_mhz" in capsys.readouterr().err
+    assert run_cli("experiment", "--seed", "-1", "--sequences", "3", "--out", str(out)) == EXIT_CONFIG
+    assert "/seed" in capsys.readouterr().err
+    assert not out.exists()

@@ -212,6 +212,28 @@ def test_estimator_consistency_scaling():
     assert abs(slope + 0.5) < 0.1
 
 
+def _noisy_lorentzian(seed):
+    deltas = np.linspace(-25.0, 25.0, 201) * TWO_PI_MHZ
+    kappa = 6.4 * TWO_PI_MHZ
+    noise = np.random.default_rng(seed).normal(0.0, 0.02, deltas.size)
+    return fit_empty_cavity(Spectrum(deltas, kappa**2 / (deltas**2 + kappa**2) + noise))
+
+
+def _noisy_recovery(seed):
+    times = np.linspace(0.0, 60e-3, 61)
+    noise = np.random.default_rng(seed).normal(0.0, 0.01, times.size)
+    return fit_exponential_recovery(times, 0.9 - 0.6 * np.exp(-times / 11e-3) + noise)
+
+
+@pytest.mark.parametrize("fit, seed", [(_noisy_lorentzian, 146), (_noisy_recovery, 83)])
+def test_fit_stalled_at_optimum_is_converged(fit, seed):
+    # On these draws no damped step lowers the cost after 4 iterations; the
+    # point is the optimum, since the Gauss-Newton step predicts no reduction.
+    result = fit(seed)
+    assert result.iterations == 4
+    assert result.converged
+
+
 def test_fit_empty_cavity_flat_spectrum_flagged():
     deltas = np.linspace(-25.0, 25.0, 41) * TWO_PI_MHZ
     result = fit_empty_cavity(Spectrum(deltas, np.full(deltas.size, 0.5)))
