@@ -73,7 +73,7 @@ from .estimation import (
     fit_ringdown_tail,
 )
 from .experiment import (
-    EventRecord,
+    Ensemble,
     ProbeConfig,
     SequenceConfig,
     accumulate_spectra,
@@ -82,7 +82,6 @@ from .experiment import (
     level_occupancy,
     local_g_cdf,
     run_ensemble,
-    run_sequence,
     sample_local_g,
 )
 

@@ -263,10 +263,10 @@ def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:
 
 @contextlib.contextmanager
 def _at(pointer: str):
-    """Report a ParameterError from building a resolved block at its pointer."""
+    """Report a ParameterError or DataFormatError from a resolved block at its pointer."""
     try:
         yield
-    except ParameterError as exc:
+    except (ParameterError, dataio.DataFormatError) as exc:
         raise ConfigError(f"{pointer}: {exc}") from exc
 
 
@@ -355,6 +355,12 @@ def _cmd_spectrum(args) -> int:
     grid = config["grid"]
     if not grid["delta_max_mhz"] > grid["delta_min_mhz"]:
         raise ConfigError("/grid/delta_max_mhz: must exceed delta_min_mhz")
+    g_values = [from_two_pi_mhz(v) for v in config.get("g_list_two_pi_mhz", [])]
+    names = [f"spectrum_g{two_pi_mhz(g):.3f}.csv" for g in g_values]
+    if len(names) < 2:
+        g_values, names = g_values or [system.g], ["spectrum.csv"]
+    if len(set(names)) < len(names):
+        _fail("/g_list_two_pi_mhz", f"values that agree to 3 decimals share a file: {names}")
     if args.dump_config:
         return _dump_config_and_exit(config)
 
@@ -364,15 +370,9 @@ def _cmd_spectrum(args) -> int:
     )
 
     outputs, series = [], []
-    g_values = (
-        [from_two_pi_mhz(v) for v in config.get("g_list_two_pi_mhz", [])]
-        or [system.g]
-    )
-    multi = len(g_values) > 1
-    for g in g_values:
+    for g, name in zip(g_values, names):
         values = steady.normalized_transmission(system.with_g(g), deltas)
         spectrum = estimation.Spectrum(deltas=deltas, values=values)
-        name = f"spectrum_g{two_pi_mhz(g):.3f}.csv" if multi else "spectrum.csv"
         dataio.write_spectrum_csv(_output(outputs, args.out, name), spectrum)
         series.append((f"g = 2π×{two_pi_mhz(g):.1f} MHz", deltas, values))
     if args.plot:
@@ -619,18 +619,20 @@ def _cmd_experiment(args) -> int:
     d_min, d_max = (config["detunings"][k]["value"] for k in ("min", "max"))
     if not d_max >= d_min:
         raise ConfigError("/detunings/max: must be >= min")
+    detunings = _detuning_grid(d_min, d_max, config["detunings"]["points"])
+    with _at("/detunings/points"):
+        dataio.detuning_keys(detunings)
     if args.dump_config:
         return _dump_config_and_exit(config)
 
     seed = config["seed"]
-    detunings = _detuning_grid(d_min, d_max, config["detunings"]["points"])
-    records = experiment.run_ensemble(
+    ensemble = experiment.run_ensemble(
         system, sequence, detunings, n_sequences, base_seed=seed
     )
     outputs = []
-    dataio.write_events_jsonl(_output(outputs, args.out, "events.jsonl"), records)
+    dataio.write_events_jsonl(_output(outputs, args.out, "events.jsonl"), ensemble)
 
-    occupancy = experiment.level_occupancy(records)
+    occupancy = experiment.level_occupancy(ensemble)
     summary = {
         "sequences": n_sequences,
         "seed": seed,
@@ -642,26 +644,25 @@ def _cmd_experiment(args) -> int:
         "fits": {},
     }
     series = []
-    if records:
-        spectra = experiment.accumulate_spectra(records, system, sequence)
-        for level, spectrum in sorted(spectra.items()):
-            dataio.write_spectrum_csv(
-                _output(outputs, args.out, f"spectrum_level_{level}.csv"), spectrum
-            )
-            series.append((f"level {level}", spectrum.deltas, spectrum.values))
-            if len(spectrum) >= 3 and occupancy[level] >= 5:
-                # level 1 is the empty cavity; higher levels fit g
-                try:
-                    if level == 1:
-                        name, fit = "kappa", estimation.fit_empty_cavity(spectrum)
-                    else:
-                        name, fit = "g", estimation.fit_rabi_g(spectrum, system)
-                    summary["fits"][str(level)] = {
-                        **fit.as_dict(), "derived": {name: rate_to_json(fit[name])}
-                    }
-                except (ParameterError, estimation.FitError) as exc:
-                    summary["fits"][str(level)] = {"error": str(exc)}
-    else:
+    spectra = experiment.accumulate_spectra(ensemble, system, sequence)
+    for level, spectrum in sorted(spectra.items()):
+        dataio.write_spectrum_csv(
+            _output(outputs, args.out, f"spectrum_level_{level}.csv"), spectrum
+        )
+        series.append((f"level {level}", spectrum.deltas, spectrum.values))
+        if len(spectrum) >= 3 and occupancy[level] >= 5:
+            # level 1 is the empty cavity; higher levels fit g
+            try:
+                if level == 1:
+                    name, fit = "kappa", estimation.fit_empty_cavity(spectrum)
+                else:
+                    name, fit = "g", estimation.fit_rabi_g(spectrum, system)
+                summary["fits"][str(level)] = {
+                    **fit.as_dict(), "derived": {name: rate_to_json(fit[name])}
+                }
+            except (ParameterError, estimation.FitError) as exc:
+                summary["fits"][str(level)] = {"error": str(exc)}
+    if not n_sequences:
         summary["note"] = "no sequences requested; outputs are empty"
 
     if args.plot and series:

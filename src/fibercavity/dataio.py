@@ -171,30 +171,52 @@ def read_trace_csv(path) -> RingdownTrace:
         return trace_from_csv(handle.read())
 
 
-def event_to_json_dict(record) -> dict:
-    """EventRecord as a JSON-ready dict; detuning keys in canonical 2pi-MHz form."""
-    counts = {
-        f"{d / TWO_PI_MHZ:.3f}": int(c)
-        for d, c in sorted(record.spectroscopy_counts.items())
-    }
-    return {
-        "atom_present": bool(record.atom_present),
-        "local_g": {"value": record.local_g / TWO_PI_MHZ, "unit": "two_pi_mhz"},
-        "detection_counts": int(record.detection_counts),
-        "normalized_detection": float(record.normalized_detection),
-        "level": int(record.level),
-        "spectroscopy_counts": counts,
-        "survived_hold": bool(record.survived_hold),
-    }
+def detuning_keys(detunings) -> list:
+    """The events.jsonl key of each detuning: its 2pi x MHz value to 3 decimals.
+
+    Raises DataFormatError when two detunings share a key, which would
+    silently drop one of their counts from every line.
+    """
+    keys = {}
+    for d in np.asarray(detunings, dtype=float).tolist():
+        key = f"{d / TWO_PI_MHZ:.3f}"
+        if key in keys:
+            raise DataFormatError(
+                f"detunings {keys[key] / TWO_PI_MHZ!r} and {d / TWO_PI_MHZ!r} "
+                f"(2pi x MHz) share the events.jsonl key {key!r}"
+            )
+        keys[key] = d
+    return list(keys)
 
 
-def events_to_jsonl(records) -> str:
-    lines = [json.dumps(event_to_json_dict(r), sort_keys=True) for r in records]
-    return "".join(line + "\n" for line in lines)
+def events_to_jsonl(ensemble) -> str:
+    """One JSON object per sequence of an Ensemble, detuning keys in 2pi-MHz form."""
+    keys = detuning_keys(ensemble.detunings)
+    columns = zip(
+        ensemble.atom_present.tolist(),
+        (ensemble.local_g / TWO_PI_MHZ).tolist(),
+        ensemble.detection_counts.tolist(),
+        ensemble.normalized_detection.tolist(),
+        ensemble.level.tolist(),
+        ensemble.spectroscopy_counts.tolist(),
+        ensemble.survived_hold.tolist(),
+    )
+    return "".join(
+        json.dumps({
+            "atom_present": present,
+            "local_g": {"value": g, "unit": "two_pi_mhz"},
+            "detection_counts": detection,
+            "normalized_detection": normalized,
+            "level": level,
+            "spectroscopy_counts": dict(zip(keys, counts)),
+            "survived_hold": survived,
+        }, sort_keys=True) + "\n"
+        for present, g, detection, normalized, level, counts, survived in columns
+    )
 
 
-def write_events_jsonl(path, records):
-    atomic_write_text(path, events_to_jsonl(records))
+def write_events_jsonl(path, ensemble):
+    atomic_write_text(path, events_to_jsonl(ensemble))
 
 
 @dataclass(frozen=True)

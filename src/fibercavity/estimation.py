@@ -312,7 +312,7 @@ def rabi_model_factory(fixed: SystemParams):
         raise ParameterError("empty-cavity transmission vanishes; cannot normalize")
 
     def model(delta, params):
-        return steady.transmission(fixed.with_g(abs(params[0])), delta) / reference
+        return steady.transmission(fixed, delta, g=abs(params[0])) / reference
 
     def jacobian(delta, params):
         g = abs(params[0])
@@ -321,7 +321,7 @@ def rabi_model_factory(fixed: SystemParams):
             * (1j * delta + fixed.gamma)
             + g**2
         )
-        t = steady.transmission(fixed.with_g(g), delta) / reference
+        t = steady.transmission(fixed, delta, g=g) / reference
         sign = 1.0 if params[0] >= 0.0 else -1.0
         col = -t * 4.0 * g * np.real(z) / np.abs(z) ** 2 * sign
         return col[:, None]
@@ -411,10 +411,8 @@ def fit_rabi_g(
         # Coarse deterministic scan over the bounded g range; the 1-d cost
         # landscape has plateaus at large g where a bad start would stall.
         candidates = np.linspace(0.0, RABI_G_UPPER_BOUND, 201)
-        costs = [
-            float(np.sum((model(spectrum.deltas, [g]) - spectrum.values) ** 2))
-            for g in candidates
-        ]
+        curves = model(spectrum.deltas, [candidates[:, None]])
+        costs = np.sum((curves - spectrum.values) ** 2, axis=1)
         initial = float(candidates[int(np.argmin(costs))])
     return fit_least_squares(
         model,

@@ -82,6 +82,8 @@ class SequenceConfig:
     def __post_init__(self):
         if not 0.0 <= self.load_probability <= 1.0:
             raise ParameterError("load_probability must lie in [0, 1]")
+        if self.poisson_loading and self.load_probability >= 1.0:
+            raise ParameterError("poisson_loading requires load_probability < 1")
         if self.g_max < 0.0:
             raise ParameterError("g_max must be non-negative")
         if self.background_rate < 0.0:
@@ -102,17 +104,25 @@ class SequenceConfig:
         object.__setattr__(self, "bin_edges", edges)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """Outcome of one measurement sequence."""
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Outcomes of n measurement sequences on one shared detuning grid.
 
-    atom_present: bool
-    local_g: float
-    detection_counts: int
-    normalized_detection: float
-    level: int
-    spectroscopy_counts: dict  # detuning (rad/s) -> counts
-    survived_hold: bool
+    Entry i of each per-sequence array, and row i of ``spectroscopy_counts``
+    (one column per detuning), belong to sequence i.
+    """
+
+    detunings: np.ndarray  # (k,) rad/s
+    atom_present: np.ndarray  # (n,) bool
+    local_g: np.ndarray  # (n,) rad/s
+    detection_counts: np.ndarray  # (n,) int
+    normalized_detection: np.ndarray  # (n,)
+    level: np.ndarray  # (n,) int, 1..6
+    survived_hold: np.ndarray  # (n,) bool
+    spectroscopy_counts: np.ndarray  # (n, k) int
+
+    def __len__(self) -> int:
+        return self.level.size
 
 
 def sample_local_g(g_max: float, rng: np.random.Generator) -> float:
@@ -144,7 +154,6 @@ def expected_count_rate(
     rate = efficiency * photon_flux * normalized_transmission(detuning)
            * empty-cavity peak transmission + background.
     """
-    validate(params)
     signal = (
         detector_efficiency
         * probe.photon_flux
@@ -165,104 +174,26 @@ def empty_cavity_signal_rate(
     )
 
 
-def classify_level(normalized_detection: float, bin_edges) -> int:
-    """Map a normalized detection transmission onto levels 1..6.
+def classify_level(normalized_detection, bin_edges):
+    """Map normalized detection transmission(s) onto levels 1..6.
 
     Level 1 is the least reduction (value above the top edge, i.e. no atom);
     level 6 the strongest reduction (value below the bottom edge). Values
-    outside [0, 1] from shot noise clamp into the end bins.
+    outside [0, 1] from shot noise clamp into the end bins. A scalar gives an
+    int, an array an integer array of the same shape.
     """
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size != 5:
         raise ParameterError("bin_edges must hold exactly 5 thresholds")
     if np.any(np.diff(edges) <= 0.0):
         raise ParameterError("bin_edges must be strictly increasing")
-    return int(6 - np.searchsorted(edges, normalized_detection, side="left"))
+    levels = 6 - np.searchsorted(edges, normalized_detection, side="left")
+    return levels if np.ndim(levels) else int(levels)
 
 
 def _normalized_counts(counts, duration, background_rate, signal_rate):
     """Background-subtracted counts over the expected empty-cavity signal."""
     return (counts / duration - background_rate) / signal_rate
-
-
-def run_sequence(
-    system: SystemParams,
-    config: SequenceConfig,
-    spectroscopy_detunings,
-    rng: np.random.Generator,
-    gain: float = 1.0,
-) -> EventRecord:
-    """Simulate one measurement sequence and return its record.
-
-    ``system`` supplies the cavity and atom rates; its g field is replaced by
-    the per-event local coupling. Normalization uses the configured expected
-    empty-cavity signal (drift-free normalization), so normalized values are
-    directly comparable across sequences. ``gain`` scales the detected signal
-    (not the background): the ensemble runner uses it to apply the optional
-    slow drift.
-    """
-    validate(system)
-    if not gain > 0.0:
-        raise ParameterError("signal gain must be positive")
-    detunings = np.asarray(spectroscopy_detunings, dtype=float)
-
-    if config.poisson_loading:
-        if config.load_probability >= 1.0:
-            raise ParameterError("poisson_loading requires load_probability < 1")
-        # Mean atom number chosen so P(n >= 1) matches load_probability.
-        n_atoms = int(rng.poisson(-math.log1p(-config.load_probability)))
-        atom_present = n_atoms >= 1
-        if atom_present:
-            draws = [sample_local_g(config.g_max, rng) for _ in range(n_atoms)]
-            local_g = math.sqrt(sum(g * g for g in draws))
-        else:
-            local_g = 0.0
-    else:
-        atom_present = rng.random() < config.load_probability
-        local_g = sample_local_g(config.g_max, rng) if atom_present else 0.0
-
-    occupied = system.with_g(local_g if atom_present else 0.0)
-
-    det = config.detection
-    det_signal_rate = gain * (
-        expected_count_rate(occupied, det, 0.0, config.detector_efficiency)
-    )
-    detection_counts = int(
-        rng.poisson((det_signal_rate + config.background_rate) * det.duration)
-    )
-    det_signal = empty_cavity_signal_rate(system, det, config.detector_efficiency)
-    normalized_detection = _normalized_counts(
-        detection_counts, det.duration, config.background_rate, det_signal
-    )
-    level = classify_level(normalized_detection, config.bin_edges)
-
-    survival_probability = math.exp(-config.hold_time / config.trap_lifetime)
-    survived = bool(atom_present and rng.random() < survival_probability)
-
-    probed = occupied if survived else system.with_g(0.0)
-    spec = config.spectroscopy
-    rates = (
-        gain
-        * config.detector_efficiency
-        * spec.photon_flux
-        * steady.normalized_transmission(probed, detunings)
-        * steady.empty_cavity_peak_transmission(probed)
-        + config.background_rate
-    )
-    counts = rng.poisson(rates * spec.duration)
-    spectroscopy_counts = {
-        float(d): int(c) for d, c in zip(detunings, np.atleast_1d(counts))
-    }
-
-    return EventRecord(
-        atom_present=atom_present,
-        local_g=local_g,
-        detection_counts=detection_counts,
-        normalized_detection=float(normalized_detection),
-        level=level,
-        spectroscopy_counts=spectroscopy_counts,
-        survived_hold=survived,
-    )
 
 
 def sequence_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -272,76 +203,113 @@ def sequence_rng(base_seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float]:
+    """Draw whether an atom loads and its (collective) coupling rate."""
+    if config.poisson_loading:
+        # Mean atom number chosen so P(n >= 1) matches load_probability.
+        n_atoms = int(rng.poisson(-math.log1p(-config.load_probability)))
+        draws = [sample_local_g(config.g_max, rng) for _ in range(n_atoms)]
+        return bool(draws), math.sqrt(sum(g * g for g in draws))
+    present = rng.random() < config.load_probability
+    return present, sample_local_g(config.g_max, rng) if present else 0.0
+
+
 def run_ensemble(
     system: SystemParams,
     config: SequenceConfig,
     spectroscopy_detunings,
     n_sequences: int,
     base_seed: int | None = None,
-) -> list:
-    """Run n_sequences independent sequences, ordered by index.
+) -> Ensemble:
+    """Simulate n_sequences independent sequences, ordered by index.
 
-    Per-sequence RNG streams come from (base_seed, index), so the output is
-    deterministic and independent of execution order.
+    Sequence i draws from its own stream ``sequence_rng(seed, i)``, in this
+    order: loading, coupling phase(s), detection counts, survival (only when
+    an atom is present), spectroscopy counts. So the output is deterministic,
+    and sequence i does not depend on how many others run. Each sequence
+    replaces the g of ``system`` with its local coupling (zero for
+    spectroscopy once the atom is lost) and scales the signal, not the
+    background, by the gain 1 + normalization_drift * i. Normalization uses
+    the expected empty-cavity signal, so values compare across sequences.
     """
+    validate(system)
     if n_sequences < 0:
         raise ParameterError("n_sequences must be non-negative")
+    n = int(n_sequences)
+    gains = 1.0 + config.normalization_drift * np.arange(n)
+    if not np.all(gains > 0.0):
+        raise ParameterError("signal gain must be positive")
     seed = config.rng_seed if base_seed is None else base_seed
-    return [
-        run_sequence(
-            system,
-            config,
-            spectroscopy_detunings,
-            sequence_rng(seed, i),
-            gain=1.0 + config.normalization_drift * i,
-        )
-        for i in range(int(n_sequences))
-    ]
+    rngs = [sequence_rng(seed, i) for i in range(n)]
+    detunings = np.asarray(spectroscopy_detunings, dtype=float)
+    efficiency, background = config.detector_efficiency, config.background_rate
+    peak = steady.empty_cavity_peak_transmission(system)
+
+    loaded = np.array([_load(config, rng) for rng in rngs], dtype=float).reshape(n, 2)
+    atom_present, local_g = loaded[:, 0] > 0.0, loaded[:, 1].copy()
+
+    det = config.detection
+    transmitted = steady.normalized_transmission(system, det.detuning, g=local_g)
+    signal = gains * (efficiency * det.photon_flux * transmitted * peak)
+    detection_counts = np.array(
+        [rng.poisson(mean) for rng, mean in zip(rngs, (signal + background) * det.duration)],
+        dtype=int,
+    )
+    survival = math.exp(-config.hold_time / config.trap_lifetime)
+    survived = np.array(
+        [present and rng.random() < survival for rng, present in zip(rngs, atom_present)],
+        dtype=bool,
+    )
+
+    spec = config.spectroscopy
+    probed_g = np.where(survived, local_g, 0.0)[:, None]  # the lost atom couples no more
+    transmitted = steady.normalized_transmission(system, detunings, g=probed_g)
+    rates = gains[:, None] * efficiency * spec.photon_flux * transmitted * peak + background
+    counts = [rng.poisson(row) for rng, row in zip(rngs, rates * spec.duration)]
+
+    normalized_detection = _normalized_counts(
+        detection_counts, det.duration, background,
+        empty_cavity_signal_rate(system, det, efficiency),
+    )
+    return Ensemble(
+        detunings=detunings,
+        atom_present=atom_present,
+        local_g=local_g,
+        detection_counts=detection_counts,
+        normalized_detection=normalized_detection,
+        level=classify_level(normalized_detection, config.bin_edges),
+        survived_hold=survived,
+        spectroscopy_counts=np.array(counts, dtype=int).reshape(n, detunings.size),
+    )
 
 
-def accumulate_spectra(records, system: SystemParams, config: SequenceConfig) -> dict:
+def accumulate_spectra(ensemble: Ensemble, system: SystemParams, config: SequenceConfig) -> dict:
     """Per-level mean normalized spectra with standard errors of the mean.
 
     Counts are background-subtracted and normalized by the expected
     empty-cavity on-resonance spectroscopy signal. Levels with no events are
-    absent from the returned mapping (not zero spectra). All records must
-    share one spectroscopy detuning grid.
+    absent from the returned mapping (not zero spectra).
     """
-    spec_signal = empty_cavity_signal_rate(
-        system, config.spectroscopy, config.detector_efficiency
+    spec = config.spectroscopy
+    values = _normalized_counts(
+        ensemble.spectroscopy_counts, spec.duration, config.background_rate,
+        empty_cavity_signal_rate(system, spec, config.detector_efficiency),
     )
-    duration = config.spectroscopy.duration
-
-    by_level: dict[int, list] = {}
-    grid: np.ndarray | None = None
-    for record in records:
-        detunings = np.array(sorted(record.spectroscopy_counts), dtype=float)
-        if grid is None:
-            grid = detunings
-        elif detunings.shape != grid.shape or not np.array_equal(detunings, grid):
-            raise ParameterError("records do not share a spectroscopy detuning grid")
-        counts = np.array([record.spectroscopy_counts[d] for d in detunings])
-        by_level.setdefault(record.level, []).append(counts)
-
     spectra = {}
-    for level, rows in sorted(by_level.items()):
-        counts = np.asarray(rows, dtype=float)
-        values = _normalized_counts(
-            counts, duration, config.background_rate, spec_signal
-        )
-        mean = values.mean(axis=0)
-        if values.shape[0] > 1:
-            sem = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+    for level in np.unique(ensemble.level).tolist():
+        rows = values[ensemble.level == level]
+        if rows.shape[0] > 1:
+            sem = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
             sem = np.where(sem > 0.0, sem, np.finfo(float).tiny)
         else:
             sem = None
-        spectra[level] = Spectrum(deltas=grid, values=mean, sigmas=sem)
+        spectra[level] = Spectrum(
+            deltas=ensemble.detunings, values=rows.mean(axis=0), sigmas=sem
+        )
     return spectra
 
 
-def level_occupancy(records) -> dict:
-    """Counts of records per classification level (1..6)."""
-    occupancy = {level: 0 for level in range(1, 7)}
-    for record in records:
-        occupancy[record.level] += 1
-    return occupancy
+def level_occupancy(ensemble: Ensemble) -> dict:
+    """Counts of sequences per classification level (1..6)."""
+    counts = np.bincount(ensemble.level, minlength=7)
+    return {level: int(counts[level]) for level in range(1, 7)}

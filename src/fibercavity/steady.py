@@ -62,9 +62,20 @@ class NormalModes:
         return self.plus_detuning - self.minus_detuning
 
 
-def transmission(params: SystemParams, delta):
-    """Absolute steady-state transmission T(Delta); scalar or ndarray delta."""
+def transmission(params: SystemParams, delta, g=None):
+    """Absolute steady-state transmission T(Delta); scalar or ndarray delta.
+
+    ``g``, when given, replaces ``params.g`` and broadcasts against ``delta``:
+    a (n, 1) column of couplings over a (k,) grid gives n spectra, each equal
+    bit for bit to the call with ``params.with_g`` of that coupling.
+    """
     validate(params)
+    g = params.g if g is None else np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g) & (g >= 0.0)):
+        raise ParameterError("g must be finite and non-negative")
+    # float_power squares with C pow, as a scalar's g**2 does; an array's g**2
+    # multiplies, which can differ in the last bit
+    g_squared = np.float_power(g, 2.0)
     delta = np.asarray(delta, dtype=float)
     num = np.abs(
         2.0 * np.sqrt(params.kappa1 * params.kappa2) * (1j * delta + params.gamma)
@@ -72,7 +83,7 @@ def transmission(params: SystemParams, delta):
     den = np.abs(
         (1j * (delta - params.cavity_detuning) + params.kappa)
         * (1j * delta + params.gamma)
-        + params.g**2
+        + g_squared
     ) ** 2
     out = num / den
     return float(out) if out.ndim == 0 else out
@@ -84,14 +95,14 @@ def empty_cavity_peak_transmission(params: SystemParams) -> float:
     return 4.0 * params.kappa1 * params.kappa2 / params.kappa**2
 
 
-def normalized_transmission(params: SystemParams, delta):
-    """T(Delta) divided by the on-resonance empty-cavity transmission."""
+def normalized_transmission(params: SystemParams, delta, g=None):
+    """T(Delta) over the on-resonance empty-cavity T; ``g`` as in ``transmission``."""
     reference = transmission(params.with_g(0.0), 0.0)
     if reference <= 0.0:
         raise ParameterError(
             "empty-cavity transmission vanishes (kappa1 * kappa2 must be > 0)"
         )
-    return transmission(params, delta) / reference
+    return transmission(params, delta, g) / reference
 
 
 def normal_modes(params: SystemParams) -> NormalModes:

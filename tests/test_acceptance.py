@@ -352,12 +352,12 @@ def test_10_pipeline_single_atom_invariance():
 
     results = []
     for p, seed in ((0.05, 1001), (0.15, 1002), (0.5, 1003)):
-        records = run_ensemble(MEASURED, config(p), detunings, 10_000, base_seed=seed)
-        occupancy = level_occupancy(records)
-        p_vi = occupancy[6] / len(records)
-        spectra = accumulate_spectra(records, MEASURED, config(p))
+        ensemble = run_ensemble(MEASURED, config(p), detunings, 10_000, base_seed=seed)
+        occupancy = level_occupancy(ensemble)
+        p_vi = occupancy[6] / len(ensemble)
+        spectra = accumulate_spectra(ensemble, MEASURED, config(p))
         fit = fit_rabi_g(spectra[6], MEASURED)
-        level_g = np.array([r.local_g for r in records if r.level == 6])
+        level_g = ensemble.local_g[ensemble.level == 6]
         # the level's coupling is a distribution capped at g_max: its spread
         # belongs in the uncertainty of "the g this level represents"
         sigma_level = math.hypot(fit.uncertainty("g"), float(level_g.std(ddof=1)))
@@ -404,13 +404,12 @@ def test_11_trap_lifetime_recovery():
             trap_lifetime=lifetime,
             hold_time=float(hold),
         )
-        records = run_ensemble(MEASURED, config, on_resonance, 4000, base_seed=777000 + i)
+        ensemble = run_ensemble(MEASURED, config, on_resonance, 4000, base_seed=777000 + i)
         signal = empty_cavity_signal_rate(MEASURED, config.spectroscopy, 0.5)
-        values = [
-            (next(iter(r.spectroscopy_counts.values())) / config.spectroscopy.duration - background)
+        values = (
+            (ensemble.spectroscopy_counts[:, 0] / config.spectroscopy.duration - background)
             / signal
-            for r in records
-        ]
+        )
         means.append(float(np.mean(values)))
     fit = fit_exponential_recovery(holds, np.array(means))
     error = abs(fit["lifetime"] - lifetime) / lifetime

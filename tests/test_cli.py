@@ -371,3 +371,63 @@ def test_non_finite_flag_and_negative_seed_are_config_errors(tmp_path, capsys):
     assert run_cli("experiment", "--seed", "-1", "--sequences", "3", "--out", str(out)) == EXIT_CONFIG
     assert "/seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _two_pi_mhz(value):
+    return {"value": value, "unit": "two_pi_mhz"}
+
+
+@pytest.mark.parametrize(
+    "detunings",
+    [
+        {"min": _two_pi_mhz(-1.0), "max": _two_pi_mhz(1.0), "points": 5001},
+        {"min": _two_pi_mhz(2.0), "max": _two_pi_mhz(2.0), "points": 3},
+    ],
+)
+def test_grid_with_colliding_event_keys_is_rejected(tmp_path, capsys, detunings):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"detunings": detunings}))
+    out = tmp_path / "out"
+    assert run_cli(
+        "experiment", "--config", str(cfg), "--out", str(out), "--seed", "1",
+        "--sequences", "2",
+    ) == EXIT_CONFIG
+    message = capsys.readouterr().err
+    assert "/detunings/points" in message and "events.jsonl key" in message
+    assert not out.exists()
+
+
+def test_single_point_grid_keeps_its_one_key(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"detunings": {"min": _two_pi_mhz(2.0), "max": _two_pi_mhz(2.0),
+                                             "points": 1}}))
+    out = tmp_path / "out"
+    assert run_cli(
+        "experiment", "--config", str(cfg), "--out", str(out), "--seed", "1",
+        "--sequences", "3",
+    ) == EXIT_OK
+    lines = (out / "events.jsonl").read_text().splitlines()
+    assert [list(json.loads(line)["spectroscopy_counts"]) for line in lines] == [["2.000"]] * 3
+
+
+def test_overlay_names_that_collide_are_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(
+        "spectrum", "--g-list-mhz", "7.8001,7.8004", "--out", str(out), "--seed", "1"
+    ) == EXIT_CONFIG
+    message = capsys.readouterr().err
+    assert "/g_list_two_pi_mhz" in message and "spectrum_g7.800.csv" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--sequences", "0"], ["--dump-config"]])
+def test_poisson_loading_with_certain_loading_is_rejected(tmp_path, capsys, extra):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sequence": {"poisson_loading": True, "load_probability": 1.0}}))
+    out = tmp_path / "out"
+    assert run_cli(
+        "experiment", "--config", str(cfg), "--out", str(out), "--seed", "1", *extra
+    ) == EXIT_CONFIG
+    message = capsys.readouterr()
+    assert "/sequence" in message.err and "poisson_loading" in message.err
+    assert message.out == "" and not out.exists()

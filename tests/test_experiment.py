@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import constants as sc
 from scipy.stats import kstest
 
 from fibercavity import (
+    Ensemble,
     ParameterError,
     ProbeConfig,
     SequenceConfig,
@@ -19,11 +21,10 @@ from fibercavity import (
     local_g_cdf,
     normalized_transmission,
     run_ensemble,
-    run_sequence,
     sample_local_g,
     transmission_peak_detunings,
 )
-from fibercavity.experiment import empty_cavity_signal_rate, sequence_rng
+from fibercavity.experiment import empty_cavity_signal_rate
 
 TW = from_two_pi_mhz(1.0)
 
@@ -118,23 +119,25 @@ def test_sequence_config_validation():
 def test_run_sequence_no_loading(measured_params):
     config = make_config(load_probability=0.0)
     detunings = np.linspace(-25.0, 25.0, 5) * TW
-    records = run_ensemble(measured_params, config, detunings, 200, base_seed=5)
-    assert all(not r.atom_present for r in records)
-    assert all(r.local_g == 0.0 for r in records)
-    occupancy = level_occupancy(records)
-    assert occupancy[1] >= 0.9 * len(records)  # concentrated at no-reduction
+    ensemble = run_ensemble(measured_params, config, detunings, 200, base_seed=5)
+    assert not ensemble.atom_present.any()
+    assert np.all(ensemble.local_g == 0.0)
+    occupancy = level_occupancy(ensemble)
+    assert occupancy[1] >= 0.9 * len(ensemble)  # concentrated at no-reduction
 
 
 def test_run_sequence_record_consistency(measured_params):
     config = make_config(load_probability=1.0)
     detunings = np.linspace(-25.0, 25.0, 5) * TW
-    rng = sequence_rng(123, 0)
-    record = run_sequence(measured_params, config, detunings, rng)
-    assert record.atom_present
-    assert 0.0 <= record.local_g <= config.g_max
-    assert record.level == classify_level(record.normalized_detection, config.bin_edges)
-    assert set(record.spectroscopy_counts) == set(float(d) for d in detunings)
-    assert all(c >= 0 for c in record.spectroscopy_counts.values())
+    ensemble = run_ensemble(measured_params, config, detunings, 1, base_seed=123)
+    assert ensemble.atom_present[0]
+    assert 0.0 <= ensemble.local_g[0] <= config.g_max
+    assert ensemble.level[0] == classify_level(
+        ensemble.normalized_detection[0], config.bin_edges
+    )
+    np.testing.assert_array_equal(ensemble.detunings, detunings)
+    assert ensemble.spectroscopy_counts.shape == (1, detunings.size)
+    assert np.all(ensemble.spectroscopy_counts >= 0)
 
 
 def test_rng_streams_deterministic(measured_params):
@@ -142,9 +145,16 @@ def test_rng_streams_deterministic(measured_params):
     detunings = np.linspace(-25.0, 25.0, 5) * TW
     a = run_ensemble(measured_params, config, detunings, 50, base_seed=9)
     b = run_ensemble(measured_params, config, detunings, 50, base_seed=9)
-    assert a == b
     c = run_ensemble(measured_params, config, detunings, 50, base_seed=10)
-    assert a != c
+
+    def same(x, y):
+        return all(
+            np.array_equal(getattr(x, f.name), getattr(y, f.name))
+            for f in dataclasses.fields(Ensemble)
+        )
+
+    assert same(a, b)
+    assert not same(a, c)
 
 
 def test_occupancy_monotone_under_paired_seeds(measured_params):
@@ -152,8 +162,8 @@ def test_occupancy_monotone_under_paired_seeds(measured_params):
     counts = []
     for p in (0.05, 0.15, 0.4, 0.8):
         config = make_config(load_probability=p)
-        records = run_ensemble(measured_params, config, detunings, 400, base_seed=77)
-        occupancy = level_occupancy(records)
+        ensemble = run_ensemble(measured_params, config, detunings, 400, base_seed=77)
+        occupancy = level_occupancy(ensemble)
         counts.append(sum(occupancy[level] for level in range(2, 7)))
     assert counts == sorted(counts)
 
@@ -165,9 +175,9 @@ def test_survival_statistics(measured_params):
     holds = np.array([0.0, 5e-3, 10e-3, 20e-3, 40e-3])
     for i, hold in enumerate(holds):
         config = make_config(load_probability=1.0, hold_time=hold, trap_lifetime=lifetime)
-        records = run_ensemble(measured_params, config, detunings, 4000, base_seed=31 + i)
-        survived = sum(r.survived_hold for r in records)
-        fractions.append(survived / len(records))
+        ensemble = run_ensemble(measured_params, config, detunings, 4000, base_seed=31 + i)
+        survived = int(ensemble.survived_hold.sum())
+        fractions.append(survived / len(ensemble))
     expected = np.exp(-holds / lifetime)
     np.testing.assert_allclose(fractions, expected, atol=0.03)
     slope = np.polyfit(holds, np.log(fractions), 1)[0]
@@ -181,13 +191,13 @@ def test_transmission_recovery_fits_trap_lifetime(measured_params):
     means = []
     for i, hold in enumerate(holds):
         config = make_config(load_probability=1.0, hold_time=float(hold))
-        records = run_ensemble(measured_params, config, detunings, 3000, base_seed=101 + i)
-        spectra = accumulate_spectra(records, measured_params, config)
+        ensemble = run_ensemble(measured_params, config, detunings, 3000, base_seed=101 + i)
+        spectra = accumulate_spectra(ensemble, measured_params, config)
         stacked = np.concatenate(
-            [spectra[level].values * len([r for r in records if r.level == level])
+            [spectra[level].values * int(np.sum(ensemble.level == level))
              for level in spectra]
         )
-        total = sum(len([r for r in records if r.level == level]) for level in spectra)
+        total = sum(int(np.sum(ensemble.level == level)) for level in spectra)
         means.append(float(stacked.sum() / total))
     fit = fit_exponential_recovery(holds, np.array(means))
     assert fit.converged
@@ -197,12 +207,12 @@ def test_transmission_recovery_fits_trap_lifetime(measured_params):
 def test_accumulate_spectra_empty_cavity(measured_params):
     config = make_config(load_probability=0.0)
     detunings = np.linspace(-25.0, 25.0, 21) * TW
-    records = run_ensemble(measured_params, config, detunings, 400, base_seed=3)
-    spectra = accumulate_spectra(records, measured_params, config)
+    ensemble = run_ensemble(measured_params, config, detunings, 400, base_seed=3)
+    spectra = accumulate_spectra(ensemble, measured_params, config)
     # detection shot noise leaks a few percent of no-atom events into level 2,
     # but the deep-reduction levels stay empty and absent (not zero spectra)
-    occupancy = level_occupancy(records)
-    assert occupancy[1] >= 0.9 * len(records)
+    occupancy = level_occupancy(ensemble)
+    assert occupancy[1] >= 0.9 * len(ensemble)
     assert 6 not in spectra and 5 not in spectra
     spectrum = spectra[1]
     clean = normalized_transmission(measured_params.with_g(0.0), detunings)
@@ -213,8 +223,8 @@ def test_accumulate_spectra_empty_cavity(measured_params):
 def test_accumulate_spectra_level6_two_peaks(measured_params):
     config = make_config(load_probability=1.0, g_max=7.8 * TW)
     detunings = np.linspace(-25.0, 25.0, 51) * TW
-    records = run_ensemble(measured_params, config, detunings, 4000, base_seed=8)
-    spectra = accumulate_spectra(records, measured_params, config)
+    ensemble = run_ensemble(measured_params, config, detunings, 4000, base_seed=8)
+    spectra = accumulate_spectra(ensemble, measured_params, config)
     assert 6 in spectra
     values = spectra[6].values
     grid = spectra[6].deltas
@@ -231,21 +241,13 @@ def test_accumulate_spectra_level6_two_peaks(measured_params):
     assert values[np.argmin(np.abs(grid))] < 0.3  # deep central dip
 
 
-def test_accumulate_spectra_grid_mismatch(measured_params):
-    config = make_config()
-    r1 = run_sequence(measured_params, config, np.array([0.0]), sequence_rng(1, 0))
-    r2 = run_sequence(measured_params, config, np.array([1e6]), sequence_rng(1, 1))
-    with pytest.raises(ParameterError, match="grid"):
-        accumulate_spectra([r1, r2], measured_params, config)
-
-
 def test_fitted_g_invariant_under_loading_probability(measured_params):
     detunings = np.linspace(-25.0, 25.0, 21) * TW
     fits = []
     for p in (0.05, 0.5):
         config = make_config(load_probability=p)
-        records = run_ensemble(measured_params, config, detunings, 4000, base_seed=55)
-        spectra = accumulate_spectra(records, measured_params, config)
+        ensemble = run_ensemble(measured_params, config, detunings, 4000, base_seed=55)
+        spectra = accumulate_spectra(ensemble, measured_params, config)
         fit = fit_rabi_g(spectra[6], measured_params)
         fits.append(fit)
     ga, gb = fits[0]["g"], fits[1]["g"]
@@ -256,19 +258,20 @@ def test_fitted_g_invariant_under_loading_probability(measured_params):
 def test_poisson_loading_mode(measured_params):
     config = make_config(load_probability=0.6, poisson_loading=True)
     detunings = np.array([0.0])
-    records = run_ensemble(measured_params, config, detunings, 500, base_seed=21)
-    present = sum(r.atom_present for r in records)
-    assert present / len(records) == pytest.approx(0.6, abs=0.06)
+    ensemble = run_ensemble(measured_params, config, detunings, 500, base_seed=21)
+    present = int(ensemble.atom_present.sum())
+    assert present / len(ensemble) == pytest.approx(0.6, abs=0.06)
     # collective coupling can exceed the single-atom maximum
-    assert any(r.local_g > config.g_max for r in records)
+    assert np.any(ensemble.local_g > config.g_max)
     with pytest.raises(ParameterError):
         config = make_config(load_probability=1.0, poisson_loading=True)
-        run_sequence(measured_params, config, detunings, sequence_rng(0, 0))
+        run_ensemble(measured_params, config, detunings, 1, base_seed=0)
 
 
 def test_accumulate_spectra_no_records(measured_params):
     config = make_config()
-    assert accumulate_spectra([], measured_params, config) == {}
+    empty = run_ensemble(measured_params, config, np.array([0.0]), 0)
+    assert accumulate_spectra(empty, measured_params, config) == {}
 
 
 def test_empty_cavity_signal_rate_consistency(measured_params):
@@ -282,13 +285,29 @@ def test_normalization_drift_biases_uncorrected_values(measured_params):
     detunings = np.array([0.0])
     n = 400
     drifting = make_config(load_probability=0.0, normalization_drift=5e-4)
-    records = run_ensemble(measured_params, drifting, detunings, n, base_seed=12)
-    values = np.array([r.normalized_detection for r in records])
+    values = run_ensemble(
+        measured_params, drifting, detunings, n, base_seed=12
+    ).normalized_detection
     # signal gain ramps to 1.2 by the last sequence while the normalization
     # stays fixed, so the late-half mean sits visibly above the early half
     early, late = values[: n // 2].mean(), values[n // 2 :].mean()
     assert late - early == pytest.approx(0.5 * 5e-4 * n, rel=0.25)
     steady_cfg = make_config(load_probability=0.0)
-    steady_records = run_ensemble(measured_params, steady_cfg, detunings, n, base_seed=12)
-    steady_values = np.array([r.normalized_detection for r in steady_records])
+    steady_values = run_ensemble(
+        measured_params, steady_cfg, detunings, n, base_seed=12
+    ).normalized_detection
     assert abs(steady_values.mean() - 1.0) < 0.02
+
+
+def test_classify_level_accepts_arrays():
+    edges = np.array([1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6])
+    values = np.array([[1.2, 0.9, 0.0], [-0.2, 0.25, 0.55]])
+    levels = classify_level(values, edges)
+    assert levels.shape == values.shape
+    assert levels.tolist() == [[classify_level(v, edges) for v in row] for row in values]
+
+
+def test_poisson_loading_bound_is_a_config_check():
+    with pytest.raises(ParameterError, match="poisson_loading"):
+        make_config(load_probability=1.0, poisson_loading=True)
+    make_config(load_probability=1.0)  # certain single-atom loading stays valid
