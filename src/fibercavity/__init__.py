@@ -55,7 +55,6 @@ from .fibermode import (
     NoGuidedModeError,
     coupling_rate,
     cs_d2_atom,
-    estimated_max_coupling,
     gaussian_mode_field_radius,
     mode_volume,
     sellmeier_fused_silica,

@@ -116,7 +116,7 @@ SPECTRUM = {
         "delta_max_mhz": Field(NUMBER, 25.0, flag="delta_max_mhz"),
         "points": Field(INTEGER, 501, minimum=2, flag="points"),
     },
-    "g_list_two_pi_mhz": Field(NUMBERS, flag="g_list_mhz"),
+    "g_list_two_pi_mhz": Field(NUMBERS, minimum=0.0, flag="g_list_mhz"),
     "seed": SEED,
 }
 RINGDOWN = {
@@ -221,7 +221,8 @@ def _read(field: Field, value, where: str):
     if field.kind == NUMBERS:
         if not isinstance(value, list):
             _fail(where, f"expected a list of numbers, got {value!r}")
-        return [_number(v, f"{where}/{i}") for i, v in enumerate(value)]
+        element = field._replace(kind=NUMBER)
+        return [_read(element, v, f"{where}/{i}") for i, v in enumerate(value)]
     if field.kind == INTEGER:
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(where, f"expected integer, got {value!r}")
@@ -238,7 +239,8 @@ def _read(field: Field, value, where: str):
 
 def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:
     """The resolved document: every field of ``schema`` read from ``doc``, or
-    from its flag in ``args`` when given, checked, with defaults filled in."""
+    from its flag in ``args`` when given, checked, with defaults filled in.
+    A key of ``doc`` that ``schema`` does not declare is an error."""
     if not isinstance(doc, dict):
         _fail(pointer, "expected a JSON object")
     resolved = {}
@@ -258,6 +260,9 @@ def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:
         else:
             value = field.default() if callable(field.default) else field.default
         resolved[key] = _read(field, value, where)
+    for key in doc:
+        if key not in schema:
+            _fail(f"{pointer}/{key}", "unknown field")
     return resolved
 
 
@@ -276,7 +281,7 @@ def _values(block: dict) -> dict:
 
 
 def _system(block: dict) -> SystemParams:
-    return steady.validate(SystemParams(**_values(block)))
+    return SystemParams(**_values(block))
 
 
 def _load_config(path) -> dict:
@@ -468,9 +473,10 @@ def _cmd_fit(args) -> int:
     user = _load_config(args.config)
     if args.fixed:
         user["fixed"] = _load_config(args.fixed)
-    config = _resolve(FIT, user, args)
+    recipe = user.get("recipe") if args.recipe is None else args.recipe
+    recipe_fields = FIT_RECIPE_FIELDS.get(recipe, {}) if isinstance(recipe, str) else {}
+    config = _resolve({**FIT, **recipe_fields}, user, args)
     recipe, data_path = config["recipe"], config["data"]
-    config.update(_resolve(FIT_RECIPE_FIELDS[recipe], user, args))
     if recipe == "rabi-g":
         with _at("/fixed"):
             fixed = _system(config["fixed"])
@@ -609,6 +615,8 @@ def _cmd_experiment(args) -> int:
         system = _system(config["system"])
     with _at("/sequence"):
         sequence = _sequence(config["sequence"])
+    if sequence.spectroscopy.detuning != 0.0:
+        _fail("/sequence/spectroscopy/detuning", "must be 0: the probe sweeps /detunings")
     n_sequences = config["sequences"]
     # run_ensemble scales sequence i's signal by 1 + drift * i
     if n_sequences and not 1.0 + sequence.normalization_drift * (n_sequences - 1) > 0.0:

@@ -307,12 +307,8 @@ def lorentzian_jacobian(delta, params, center=0.0):
 def rabi_model_factory(fixed: SystemParams):
     """Single-parameter model g -> normalized transmission, with its Jacobian."""
 
-    reference = steady.transmission(fixed.with_g(0.0), 0.0)
-    if reference <= 0.0:
-        raise ParameterError("empty-cavity transmission vanishes; cannot normalize")
-
     def model(delta, params):
-        return steady.transmission(fixed, delta, g=abs(params[0])) / reference
+        return steady.normalized_transmission(fixed, delta, g=abs(params[0]))
 
     def jacobian(delta, params):
         g = abs(params[0])
@@ -321,7 +317,7 @@ def rabi_model_factory(fixed: SystemParams):
             * (1j * delta + fixed.gamma)
             + g**2
         )
-        t = steady.transmission(fixed, delta, g=g) / reference
+        t = steady.normalized_transmission(fixed, delta, g=g)
         sign = 1.0 if params[0] >= 0.0 else -1.0
         col = -t * 4.0 * g * np.real(z) / np.abs(z) ** 2 * sign
         return col[:, None]

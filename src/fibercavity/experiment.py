@@ -29,7 +29,7 @@ import numpy as np
 from . import steady
 from .constants import C, CS_D2_WAVELENGTH, HBAR
 from .estimation import Spectrum
-from .units import ParameterError, SystemParams, validate
+from .units import ParameterError, SystemParams
 
 # Equal-width default bins over normalized detection transmission [0, 1].
 # The thresholds are a documented free choice; override via SequenceConfig.
@@ -151,16 +151,11 @@ def expected_count_rate(
 ):
     """Mean detector count rate for a probe at its detuning, plus background.
 
-    rate = efficiency * photon_flux * normalized_transmission(detuning)
-           * empty-cavity peak transmission + background.
+    rate = empty_cavity_signal_rate * normalized_transmission(detuning)
+           + background.
     """
-    signal = (
-        detector_efficiency
-        * probe.photon_flux
-        * steady.normalized_transmission(params, probe.detuning)
-        * steady.empty_cavity_peak_transmission(params)
-    )
-    return signal + background_rate
+    signal = empty_cavity_signal_rate(params, probe, detector_efficiency)
+    return signal * steady.normalized_transmission(params, probe.detuning) + background_rate
 
 
 def empty_cavity_signal_rate(
@@ -229,10 +224,11 @@ def run_ensemble(
     and sequence i does not depend on how many others run. Each sequence
     replaces the g of ``system`` with its local coupling (zero for
     spectroscopy once the atom is lost) and scales the signal, not the
-    background, by the gain 1 + normalization_drift * i. Normalization uses
-    the expected empty-cavity signal, so values compare across sequences.
+    background, by the gain 1 + normalization_drift * i: its mean count rate
+    is gain * empty_cavity_signal_rate * normalized_transmission + background.
+    Normalization divides by the same empty-cavity signal, so values compare
+    across sequences.
     """
-    validate(system)
     if n_sequences < 0:
         raise ParameterError("n_sequences must be non-negative")
     n = int(n_sequences)
@@ -243,17 +239,16 @@ def run_ensemble(
     rngs = [sequence_rng(seed, i) for i in range(n)]
     detunings = np.asarray(spectroscopy_detunings, dtype=float)
     efficiency, background = config.detector_efficiency, config.background_rate
-    peak = steady.empty_cavity_peak_transmission(system)
 
     loaded = np.array([_load(config, rng) for rng in rngs], dtype=float).reshape(n, 2)
     atom_present, local_g = loaded[:, 0] > 0.0, loaded[:, 1].copy()
 
     det = config.detection
+    det_signal = empty_cavity_signal_rate(system, det, efficiency)
     transmitted = steady.normalized_transmission(system, det.detuning, g=local_g)
-    signal = gains * (efficiency * det.photon_flux * transmitted * peak)
+    rates = gains * det_signal * transmitted + background
     detection_counts = np.array(
-        [rng.poisson(mean) for rng, mean in zip(rngs, (signal + background) * det.duration)],
-        dtype=int,
+        [rng.poisson(mean) for rng, mean in zip(rngs, rates * det.duration)], dtype=int
     )
     survival = math.exp(-config.hold_time / config.trap_lifetime)
     survived = np.array(
@@ -264,12 +259,12 @@ def run_ensemble(
     spec = config.spectroscopy
     probed_g = np.where(survived, local_g, 0.0)[:, None]  # the lost atom couples no more
     transmitted = steady.normalized_transmission(system, detunings, g=probed_g)
-    rates = gains[:, None] * efficiency * spec.photon_flux * transmitted * peak + background
+    spec_signal = empty_cavity_signal_rate(system, spec, efficiency)
+    rates = gains[:, None] * spec_signal * transmitted + background
     counts = [rng.poisson(row) for rng, row in zip(rngs, rates * spec.duration)]
 
     normalized_detection = _normalized_counts(
-        detection_counts, det.duration, background,
-        empty_cavity_signal_rate(system, det, efficiency),
+        detection_counts, det.duration, background, det_signal
     )
     return Ensemble(
         detunings=detunings,

@@ -382,13 +382,3 @@ def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> An
         / (2.0 * HBAR * EPSILON_0 * mode_volume_m3)
     )
     return AngularRate(g_max * phi)
-
-
-def estimated_max_coupling(
-    fiber: FiberSpec, geom: CavityGeometry, atom: AtomSpec | None = None
-) -> AngularRate:
-    """Solve the fiber mode and evaluate the antinode coupling rate."""
-    if atom is None:
-        atom = cs_d2_atom()
-    mode = solve_fundamental_mode(fiber)
-    return coupling_rate(atom, mode_volume(mode, geom), 1.0)

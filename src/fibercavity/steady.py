@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C
-from .units import AngularRate, CavityGeometry, ParameterError, SystemParams, validate
+from .units import AngularRate, CavityGeometry, ParameterError, SystemParams
 
 
 class CouplingLabel(enum.Enum):
@@ -69,7 +69,6 @@ def transmission(params: SystemParams, delta, g=None):
     a (n, 1) column of couplings over a (k,) grid gives n spectra, each equal
     bit for bit to the call with ``params.with_g`` of that coupling.
     """
-    validate(params)
     g = params.g if g is None else np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ParameterError("g must be finite and non-negative")
@@ -91,7 +90,6 @@ def transmission(params: SystemParams, delta, g=None):
 
 def empty_cavity_peak_transmission(params: SystemParams) -> float:
     """Peak transmission 4 kappa1 kappa2 / kappa^2 of the empty cavity."""
-    validate(params)
     return 4.0 * params.kappa1 * params.kappa2 / params.kappa**2
 
 
@@ -107,7 +105,6 @@ def normalized_transmission(params: SystemParams, delta, g=None):
 
 def normal_modes(params: SystemParams) -> NormalModes:
     """Solve the pole quadratic for the normal-mode detunings and linewidths."""
-    validate(params)
     kappa, gamma, g = params.kappa, params.gamma, params.g
     half_diff = 0.5 * (kappa - gamma)
     disc = g**2 - half_diff**2
@@ -143,7 +140,6 @@ def transmission_peak_detunings(params: SystemParams) -> tuple[float, ...]:
     outside the normal-mode detunings: the pull vanishes only for
     g >> kappa, gamma.
     """
-    validate(params)
     if params.cavity_detuning != 0.0:
         raise ParameterError(
             "closed-form peak positions require cavity_detuning = 0"
@@ -191,7 +187,6 @@ def classify_coupling(
     |margin| <= critical_tolerance * kappa counts as critically coupled,
     since exact equality never happens with measured rates.
     """
-    validate(params)
     margin = params.kappa2 - params.kappa1 - params.kappa_loss
     if abs(margin) <= critical_tolerance * params.kappa:
         label = CouplingLabel.CRITICALLY_COUPLED
@@ -204,11 +199,9 @@ def classify_coupling(
 
 def cooperativity(params: SystemParams) -> float:
     """C = g^2 / (2 kappa gamma)."""
-    validate(params)
     return params.g**2 / (2.0 * params.kappa * params.gamma)
 
 
 def is_strongly_coupled(params: SystemParams) -> bool:
     """True iff g exceeds both kappa and gamma (strict inequalities)."""
-    validate(params)
     return params.g > params.kappa and params.g > params.gamma

@@ -110,6 +110,7 @@ class SystemParams:
     cavity_detuning is omega_C - omega_A; probe detunings are measured from
     the atomic resonance. omega_A (absolute optical angular frequency) is
     optional: the steady-state response depends only on detunings.
+    Construction validates (see ``validate``), so every instance is valid.
     """
 
     kappa1: float
@@ -119,6 +120,9 @@ class SystemParams:
     g: float
     omega_A: float | None = None
     cavity_detuning: float = 0.0
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def kappa(self) -> float:

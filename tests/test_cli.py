@@ -431,3 +431,51 @@ def test_poisson_loading_with_certain_loading_is_rejected(tmp_path, capsys, extr
     message = capsys.readouterr()
     assert "/sequence" in message.err and "poisson_loading" in message.err
     assert message.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, pointer",
+    [
+        (["experiment"], {"sequnces": 5, "sequence": {"hold_time_s": 0.5}}, "/sequnces"),
+        (["experiment"], {"sequence": {"hold_time": 0.5}}, "/sequence/hold_time"),
+        (["fit", "--recipe", "lorentzian", "--data", "absent.csv"], {"tail_start_ns": 5.0},
+         "/tail_start_ns"),
+    ],
+)
+def test_unknown_config_keys_are_rejected(tmp_path, capsys, argv, config, pointer):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out), "--seed", "1") == EXIT_CONFIG
+    assert f"{pointer}: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_recipe_that_is_not_a_string_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"recipe": ["rabi-g"], "data": "absent.csv"}))
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert "/recipe: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectroscopy_detuning_other_than_zero_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sequence": {"spectroscopy": {"detuning": _two_pi_mhz(10.0)}}}))
+    out = tmp_path / "out"
+    assert run_cli(
+        "experiment", "--config", str(cfg), "--out", str(out), "--seed", "1", "--sequences", "3"
+    ) == EXIT_CONFIG
+    assert "/sequence/spectroscopy/detuning" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_overlay_coupling_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(
+        "spectrum", "--g-list-mhz", "1,-1", "--out", str(out), "--seed", "1"
+    ) == EXIT_CONFIG
+    assert "/g_list_two_pi_mhz/1: must be >= 0.0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -1,11 +1,12 @@
-"""Byte-level pins of the `experiment` outputs for fixed seeds.
+"""Byte-level pins of the `experiment`, `spectrum` and `fit` outputs.
 
 Each case runs ``main()`` and compares the sha256 of every non-manifest
-output (``events.jsonl``, ``summary.json``, each ``spectrum_level_*.csv``)
-with the digest recorded when the case was pinned. A refactor of the
-ensemble, its accumulation or the JSONL writer must leave these unchanged.
-The fitted values in ``summary.json`` depend on numpy's floating-point
-kernels; the digests were taken with numpy 2.4 on x86-64 with AVX-512.
+output (``events.jsonl``, ``summary.json``, each ``spectrum_level_*.csv``,
+the overlay spectra, ``fit_result.json``) with the digest recorded when the
+case was pinned. A refactor of the ensemble, its accumulation, the JSONL
+writer, the transmission kernel or the fit recipes must leave these
+unchanged. The fitted values depend on numpy's floating-point kernels; the
+digests were taken with numpy 2.4 on x86-64 with AVX-512.
 """
 
 import hashlib
@@ -84,11 +85,51 @@ def output_digests(directory) -> dict:
     }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_experiment_outputs_are_pinned(case, tmp_path):
-    config, flags, expected = CASES[case]
+SPECTRUM_OVERLAY = {
+    "spectrum_g0.000.csv": "002a81ce73344bc2a466cf5b41badd4270b74a4e5f959fa8f570c27e29da5628",
+    "spectrum_g3.900.csv": "34e7e4ee6486defc7d1adc90e56acd13a80fd3b04b6baa79b5720db180cdd282",
+    "spectrum_g7.800.csv": "f65719fbd5e8d17b3f733ec64b91c889521c9e8d8ff02bb0bf6d9735b14b3a50",
+}
+
+# recipe -> (spectrum of the "single-atom-hold" case it fits, fit_result.json digest)
+FITS = {
+    "lorentzian": (
+        "spectrum_level_1.csv",
+        "b3faec3307b388d5db5fee1c847c3e6b68914557883c243d5ae16bc3764fbc39",
+    ),
+    "rabi-g": (
+        "spectrum_level_6.csv",
+        "d184789f4d64310b0133629c30bf8464dcb6bd3ca0b9caeb83fdfbcab951f18a",
+    ),
+}
+
+
+def run_experiment_case(case, tmp_path):
+    config, flags, _ = CASES[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(path), "--out", str(out), *flags]) == EXIT_OK
-    assert output_digests(out) == expected
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_experiment_outputs_are_pinned(case, tmp_path):
+    out = run_experiment_case(case, tmp_path)
+    assert output_digests(out) == CASES[case][2]
+
+
+def test_spectrum_overlay_is_pinned(tmp_path):
+    argv = ["spectrum", "--g-list-mhz", "0,3.9,7.8", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert output_digests(tmp_path) == SPECTRUM_OVERLAY
+
+
+@pytest.mark.parametrize("recipe", sorted(FITS))
+def test_fit_result_is_pinned(recipe, tmp_path):
+    data, digest = FITS[recipe]
+    spectra = run_experiment_case("single-atom-hold", tmp_path)
+    out = tmp_path / "fit"
+    argv = ["fit", "--recipe", recipe, "--data", str(spectra / data), "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert output_digests(out) == {"fit_result.json": digest}

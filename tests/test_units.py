@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -24,21 +25,31 @@ def test_validate_accepts_all_positive():
 
 
 def test_validate_rejects_zero_gamma():
-    p = SystemParams(kappa1=1.0, kappa2=1.0, kappa_loss=0.0, gamma=0.0, g=1.0)
     with pytest.raises(ParameterError, match="gamma must be positive"):
-        validate(p)
+        SystemParams(kappa1=1.0, kappa2=1.0, kappa_loss=0.0, gamma=0.0, g=1.0)
 
 
 def test_validate_rejects_negative_decay_rate():
-    p = SystemParams(kappa1=-1.0, kappa2=1.0, kappa_loss=0.0, gamma=1.0, g=1.0)
     with pytest.raises(ParameterError, match="decay rates non-negative"):
-        validate(p)
+        SystemParams(kappa1=-1.0, kappa2=1.0, kappa_loss=0.0, gamma=1.0, g=1.0)
 
 
 def test_validate_rejects_zero_kappa():
-    p = SystemParams(kappa1=0.0, kappa2=0.0, kappa_loss=0.0, gamma=1.0, g=1.0)
     with pytest.raises(ParameterError, match="kappa"):
-        validate(p)
+        SystemParams(kappa1=0.0, kappa2=0.0, kappa_loss=0.0, gamma=1.0, g=1.0)
+
+
+def test_every_construction_validates(measured_params):
+    with pytest.raises(ParameterError, match="gamma must be positive"):
+        dataclasses.replace(measured_params, gamma=0.0)
+    with pytest.raises(ParameterError, match="decay rates non-negative: g"):
+        measured_params.with_g(-1.0)
+    with pytest.raises(ParameterError, match="kappa1 must be finite"):
+        SystemParams(kappa1=math.nan, kappa2=1.0, kappa_loss=0.0, gamma=1.0, g=1.0)
+    doc = measured_params.to_json_dict()
+    doc["kappa_loss"] = {"value": -1.0, "unit": "two_pi_mhz"}
+    with pytest.raises(ParameterError, match="decay rates non-negative: kappa_loss"):
+        SystemParams.from_json_dict(doc)
 
 
 def test_validate_idempotent(measured_params):
