@@ -202,6 +202,8 @@ def _read(field: Field, value, where: str):
     if field.kind == RATE:
         if isinstance(value, dict):
             _number(value.get("value"), f"{where}/value")
+            for key in value.keys() - {"value", "unit"}:
+                _fail(f"{where}/{key}", "unknown field")
         try:
             return rate_to_json(rate_from_json(value), "rad_per_s")
         except ParameterError as exc:
@@ -268,11 +270,14 @@ def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:
 
 @contextlib.contextmanager
 def _at(pointer: str):
-    """Report a ParameterError or DataFormatError from a resolved block at its pointer."""
+    """Report a ParameterError or DataFormatError from a resolved block at its
+    pointer, or below it at the error's ``field``."""
     try:
         yield
     except (ParameterError, dataio.DataFormatError) as exc:
-        raise ConfigError(f"{pointer}: {exc}") from exc
+        field = getattr(exc, "field", None)
+        where = pointer if field is None else f"{pointer}/{field}"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _values(block: dict) -> dict:
@@ -475,8 +480,14 @@ def _cmd_fit(args) -> int:
         user["fixed"] = _load_config(args.fixed)
     recipe = user.get("recipe") if args.recipe is None else args.recipe
     recipe_fields = FIT_RECIPE_FIELDS.get(recipe, {}) if isinstance(recipe, str) else {}
-    config = _resolve({**FIT, **recipe_fields}, user, args)
+    schema = {**FIT, **recipe_fields}
+    config = _resolve(schema, user, args)
     recipe, data_path = config["recipe"], config["data"]
+    for fields in FIT_RECIPE_FIELDS.values():  # another recipe's flags are errors
+        for key, field in fields.items():
+            if key not in schema and isinstance(field, Field) and field.flag:
+                if getattr(args, field.flag) is not None:
+                    _fail(f"/{key}", f"not a field of recipe {recipe}")
     if recipe == "rabi-g":
         with _at("/fixed"):
             fixed = _system(config["fixed"])
@@ -615,8 +626,6 @@ def _cmd_experiment(args) -> int:
         system = _system(config["system"])
     with _at("/sequence"):
         sequence = _sequence(config["sequence"])
-    if sequence.spectroscopy.detuning != 0.0:
-        _fail("/sequence/spectroscopy/detuning", "must be 0: the probe sweeps /detunings")
     n_sequences = config["sequences"]
     # run_ensemble scales sequence i's signal by 1 + drift * i
     if n_sequences and not 1.0 + sequence.normalization_drift * (n_sequences - 1) > 0.0:

@@ -8,6 +8,7 @@ atomically (temp file in the target directory, then rename).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import Spectrum
+from .experiment import BLOCK
 from .ringdown import RingdownTrace
 from .units import TWO_PI_MHZ
 
@@ -67,18 +69,26 @@ def _require_finite(array, what: str):
     return array
 
 
-def atomic_write_text(path, text: str):
-    """Write text to path via a temp file and rename (atomic on POSIX)."""
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text handle on a temp file next to path, renamed onto path (atomic
+    on POSIX) when the block ends; the temp file is removed on error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str):
+    """Write text to path via a temp file and rename (atomic on POSIX)."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
@@ -189,34 +199,55 @@ def detuning_keys(detunings) -> list:
     return list(keys)
 
 
-def events_to_jsonl(ensemble) -> str:
-    """One JSON object per sequence of an Ensemble, detuning keys in 2pi-MHz form."""
+def _event_blocks(ensemble):
+    """The events.jsonl text of each ``BLOCK`` of sequences, in order.
+
+    Each line is what ``json.dumps(..., sort_keys=True)`` writes for the
+    sequence's record: one %-template per grid holds the sorted keys, with
+    the count columns in key order, ``%d`` for ints and ``%r`` (the
+    ``float.__repr__`` json uses) for floats. Non-finite floats are refused
+    before anything is yielded.
+    """
     keys = detuning_keys(ensemble.detunings)
-    columns = zip(
-        ensemble.atom_present.tolist(),
-        (ensemble.local_g / TWO_PI_MHZ).tolist(),
-        ensemble.detection_counts.tolist(),
-        ensemble.normalized_detection.tolist(),
-        ensemble.level.tolist(),
-        ensemble.spectroscopy_counts.tolist(),
-        ensemble.survived_hold.tolist(),
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    local_g = _require_finite(ensemble.local_g / TWO_PI_MHZ, "event local_g")
+    normalized = _require_finite(ensemble.normalized_detection, "event normalized_detection")
+    counts = ", ".join(f"{json.dumps(keys[j])}: %d" for j in order)
+    template = (
+        '{"atom_present": %s, "detection_counts": %d, "level": %d, '
+        '"local_g": {"unit": "two_pi_mhz", "value": %r}, "normalized_detection": %r, '
+        '"spectroscopy_counts": {' + counts + '}, "survived_hold": %s}\n'
     )
-    return "".join(
-        json.dumps({
-            "atom_present": present,
-            "local_g": {"value": g, "unit": "two_pi_mhz"},
-            "detection_counts": detection,
-            "normalized_detection": normalized,
-            "level": level,
-            "spectroscopy_counts": dict(zip(keys, counts)),
-            "survived_hold": survived,
-        }, sort_keys=True) + "\n"
-        for present, g, detection, normalized, level, counts, survived in columns
-    )
+
+    def block(rows):
+        columns = zip(
+            np.where(ensemble.atom_present[rows], "true", "false").tolist(),
+            ensemble.detection_counts[rows].tolist(),
+            ensemble.level[rows].tolist(),
+            local_g[rows].tolist(),
+            normalized[rows].tolist(),
+            ensemble.spectroscopy_counts[rows, order].tolist(),
+            np.where(ensemble.survived_hold[rows], "true", "false").tolist(),
+        )
+        return "".join(
+            template % (present, detection, level, g, value, *row, survived)
+            for present, detection, level, g, value, row, survived in columns
+        )
+
+    return (block(slice(i, i + BLOCK)) for i in range(0, len(ensemble), BLOCK))
+
+
+def events_to_jsonl(ensemble) -> str:
+    """One JSON object per sequence of an Ensemble, detuning keys in 2pi-MHz
+    form and sorted, as ``json.dumps(..., sort_keys=True)`` orders them."""
+    return "".join(_event_blocks(ensemble))
 
 
 def write_events_jsonl(path, ensemble):
-    atomic_write_text(path, events_to_jsonl(ensemble))
+    """Write events.jsonl atomically, one ``BLOCK`` of sequences at a time."""
+    blocks = _event_blocks(ensemble)
+    with _atomic_open(path) as handle:
+        handle.writelines(blocks)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,11 @@ class SequenceConfig:
             raise ParameterError("load_probability must lie in [0, 1]")
         if self.poisson_loading and self.load_probability >= 1.0:
             raise ParameterError("poisson_loading requires load_probability < 1")
+        if self.spectroscopy.detuning != 0.0:
+            raise ParameterError(
+                "spectroscopy detuning must be 0: the probe sweeps the detuning grid",
+                field="spectroscopy/detuning",
+            )
         if self.g_max < 0.0:
             raise ParameterError("g_max must be non-negative")
         if self.background_rate < 0.0:
@@ -198,6 +203,11 @@ def sequence_rng(base_seed: int, index: int) -> np.random.Generator:
     )
 
 
+# Sequences simulated, written and normalized together; it bounds the
+# transients of run_ensemble and of the events.jsonl writer.
+BLOCK = 256
+
+
 def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float]:
     """Draw whether an atom loads and its (collective) coupling rate."""
     if config.poisson_loading:
@@ -227,41 +237,50 @@ def run_ensemble(
     background, by the gain 1 + normalization_drift * i: its mean count rate
     is gain * empty_cavity_signal_rate * normalized_transmission + background.
     Normalization divides by the same empty-cavity signal, so values compare
-    across sequences.
+    across sequences. Sequences run in blocks of ``BLOCK``, which bounds the
+    transients to one block's rates.
     """
     if n_sequences < 0:
         raise ParameterError("n_sequences must be non-negative")
+    spec, det = config.spectroscopy, config.detection
     n = int(n_sequences)
     gains = 1.0 + config.normalization_drift * np.arange(n)
     if not np.all(gains > 0.0):
         raise ParameterError("signal gain must be positive")
     seed = config.rng_seed if base_seed is None else base_seed
-    rngs = [sequence_rng(seed, i) for i in range(n)]
     detunings = np.asarray(spectroscopy_detunings, dtype=float)
     efficiency, background = config.detector_efficiency, config.background_rate
-
-    loaded = np.array([_load(config, rng) for rng in rngs], dtype=float).reshape(n, 2)
-    atom_present, local_g = loaded[:, 0] > 0.0, loaded[:, 1].copy()
-
-    det = config.detection
     det_signal = empty_cavity_signal_rate(system, det, efficiency)
-    transmitted = steady.normalized_transmission(system, det.detuning, g=local_g)
-    rates = gains * det_signal * transmitted + background
-    detection_counts = np.array(
-        [rng.poisson(mean) for rng, mean in zip(rngs, rates * det.duration)], dtype=int
-    )
-    survival = math.exp(-config.hold_time / config.trap_lifetime)
-    survived = np.array(
-        [present and rng.random() < survival for rng, present in zip(rngs, atom_present)],
-        dtype=bool,
-    )
-
-    spec = config.spectroscopy
-    probed_g = np.where(survived, local_g, 0.0)[:, None]  # the lost atom couples no more
-    transmitted = steady.normalized_transmission(system, detunings, g=probed_g)
     spec_signal = empty_cavity_signal_rate(system, spec, efficiency)
-    rates = gains[:, None] * spec_signal * transmitted + background
-    counts = [rng.poisson(row) for rng, row in zip(rngs, rates * spec.duration)]
+    survival = math.exp(-config.hold_time / config.trap_lifetime)
+
+    atom_present = np.empty(n, dtype=bool)
+    local_g = np.empty(n)
+    detection_counts = np.empty(n, dtype=int)
+    survived = np.empty(n, dtype=bool)
+    counts = np.empty((n, detunings.size), dtype=int)
+    for start in range(0, n, BLOCK):
+        block = slice(start, min(start + BLOCK, n))
+        rngs = [sequence_rng(seed, i) for i in range(block.start, block.stop)]
+        gain = gains[block]
+
+        loaded = np.array([_load(config, rng) for rng in rngs], dtype=float)
+        atom_present[block], local_g[block] = loaded[:, 0] > 0.0, loaded[:, 1]
+
+        transmitted = steady.normalized_transmission(system, det.detuning, g=local_g[block])
+        means = (gain * det_signal * transmitted + background) * det.duration
+        detection_counts[block] = [rng.poisson(mean) for rng, mean in zip(rngs, means)]
+        survived[block] = [
+            present and rng.random() < survival
+            for rng, present in zip(rngs, atom_present[block])
+        ]
+
+        # the lost atom couples no more
+        probed_g = np.where(survived[block], local_g[block], 0.0)[:, None]
+        transmitted = steady.normalized_transmission(system, detunings, g=probed_g)
+        means = (gain[:, None] * spec_signal * transmitted + background) * spec.duration
+        for row, rng, mean in zip(counts[block], rngs, means):
+            row[:] = rng.poisson(mean)
 
     normalized_detection = _normalized_counts(
         detection_counts, det.duration, background, det_signal
@@ -274,7 +293,7 @@ def run_ensemble(
         normalized_detection=normalized_detection,
         level=classify_level(normalized_detection, config.bin_edges),
         survived_hold=survived,
-        spectroscopy_counts=np.array(counts, dtype=int).reshape(n, detunings.size),
+        spectroscopy_counts=counts,
     )
 
 
@@ -283,16 +302,17 @@ def accumulate_spectra(ensemble: Ensemble, system: SystemParams, config: Sequenc
 
     Counts are background-subtracted and normalized by the expected
     empty-cavity on-resonance spectroscopy signal. Levels with no events are
-    absent from the returned mapping (not zero spectra).
+    absent from the returned mapping (not zero spectra). Only one level's
+    rows are normalized at a time.
     """
     spec = config.spectroscopy
-    values = _normalized_counts(
-        ensemble.spectroscopy_counts, spec.duration, config.background_rate,
-        empty_cavity_signal_rate(system, spec, config.detector_efficiency),
-    )
+    signal = empty_cavity_signal_rate(system, spec, config.detector_efficiency)
     spectra = {}
     for level in np.unique(ensemble.level).tolist():
-        rows = values[ensemble.level == level]
+        rows = _normalized_counts(
+            ensemble.spectroscopy_counts[ensemble.level == level],
+            spec.duration, config.background_rate, signal,
+        )
         if rows.shape[0] > 1:
             sem = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
             sem = np.where(sem > 0.0, sem, np.finfo(float).tiny)

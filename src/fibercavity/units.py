@@ -28,7 +28,15 @@ _RAD_PER_S_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*rad/s\s*$")
 
 
 class ParameterError(ValueError):
-    """A physical parameter violates one of its invariants."""
+    """A physical parameter violates one of its invariants.
+
+    ``field``, when given, is the path of the offending field below the
+    object that was checked (e.g. ``"spectroscopy/detuning"``).
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class AngularRate(float):

@@ -479,3 +479,33 @@ def test_negative_overlay_coupling_writes_nothing(tmp_path, capsys):
     ) == EXIT_CONFIG
     assert "/g_list_two_pi_mhz/1: must be >= 0.0" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_rate_object_with_an_extra_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"system": {"g": {**_two_pi_mhz(3.0), "scale": 2}}}))
+    out = tmp_path / "out"
+    assert run_cli(
+        "spectrum", "--config", str(cfg), "--out", str(out), "--seed", "1"
+    ) == EXIT_CONFIG
+    assert "/system/g/scale: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "recipe, flag, pointer",
+    [
+        ("lorentzian", ["--tail-start-ns", "5"], "/tail_start_ns"),
+        ("exponential", ["--float-center"], "/float_center"),
+        ("rabi-g", ["--tail-start-ns", "0"], "/tail_start_ns"),
+    ],
+)
+def test_fit_rejects_the_flag_of_another_recipe(tmp_path, capsys, recipe, flag, pointer):
+    data = tmp_path / "spectrum.csv"
+    deltas = np.linspace(-20.0, 20.0, 41) * TW
+    data.write_text(spectrum_to_csv(Spectrum(deltas, 1.0 / (1.0 + (deltas / (6.4 * TW)) ** 2))))
+    out = tmp_path / "out"
+    argv = ["fit", "--recipe", recipe, *flag, "--data", str(data), "--seed", "1"]
+    assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert f"{pointer}: not a field of recipe {recipe}" in capsys.readouterr().err
+    assert not out.exists()

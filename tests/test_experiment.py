@@ -24,7 +24,8 @@ from fibercavity import (
     sample_local_g,
     transmission_peak_detunings,
 )
-from fibercavity.experiment import empty_cavity_signal_rate
+from fibercavity.dataio import DataFormatError, events_to_jsonl, write_events_jsonl
+from fibercavity.experiment import BLOCK, _load, empty_cavity_signal_rate, sequence_rng
 
 TW = from_two_pi_mhz(1.0)
 
@@ -311,3 +312,98 @@ def test_poisson_loading_bound_is_a_config_check():
     with pytest.raises(ParameterError, match="poisson_loading"):
         make_config(load_probability=1.0, poisson_loading=True)
     make_config(load_probability=1.0)  # certain single-atom loading stays valid
+
+
+def test_spectroscopy_probe_detuning_other_than_zero_is_a_config_check():
+    spectroscopy = ProbeConfig(power=0.4e-12, duration=5e-3, detuning=10.0 * TW)
+    with pytest.raises(ParameterError, match="spectroscopy detuning must be 0") as caught:
+        make_config(spectroscopy=spectroscopy)
+    assert caught.value.field == "spectroscopy/detuning"
+    make_config(detection=ProbeConfig(power=0.8e-12, duration=2e-3, detuning=10.0 * TW))
+
+
+def reference_ensemble(system, config, detunings, n, seed):
+    """Sequence by sequence, each on its own ``sequence_rng`` stream, with the
+    rates of the whole table at once: the order of draws and the arithmetic
+    that ``run_ensemble`` keeps."""
+    rngs = [sequence_rng(seed, i) for i in range(n)]
+    gains = 1.0 + config.normalization_drift * np.arange(n)
+    loaded = np.array([_load(config, rng) for rng in rngs], dtype=float).reshape(n, 2)
+    present, local_g = loaded[:, 0] > 0.0, loaded[:, 1].copy()
+    det, spec = config.detection, config.spectroscopy
+    efficiency, background = config.detector_efficiency, config.background_rate
+    det_signal = empty_cavity_signal_rate(system, det, efficiency)
+    rates = gains * det_signal * normalized_transmission(system, det.detuning, g=local_g)
+    means = (rates + background) * det.duration
+    detection = np.array([rng.poisson(m) for rng, m in zip(rngs, means)], dtype=int)
+    survival = math.exp(-config.hold_time / config.trap_lifetime)
+    survived = np.array(
+        [p and rng.random() < survival for rng, p in zip(rngs, present)], dtype=bool
+    )
+    probed_g = np.where(survived, local_g, 0.0)[:, None]
+    spec_signal = empty_cavity_signal_rate(system, spec, efficiency)
+    transmitted = normalized_transmission(system, detunings, g=probed_g)
+    means = (gains[:, None] * spec_signal * transmitted + background) * spec.duration
+    counts = [rng.poisson(row) for rng, row in zip(rngs, means)]
+    normalized = (detection / det.duration - background) / det_signal
+    return Ensemble(
+        detunings=detunings,
+        atom_present=present,
+        local_g=local_g,
+        detection_counts=detection,
+        normalized_detection=normalized,
+        level=classify_level(normalized, config.bin_edges),
+        survived_hold=survived,
+        spectroscopy_counts=np.array(counts, dtype=int).reshape(n, detunings.size),
+    )
+
+
+def assert_same_ensemble(actual, expected, n=None):
+    """Every field of ``actual`` equals that of ``expected`` (its first n sequences)."""
+    np.testing.assert_array_equal(actual.detunings, expected.detunings)
+    for field in dataclasses.fields(Ensemble):
+        if field.name != "detunings":
+            value = getattr(expected, field.name)
+            np.testing.assert_array_equal(
+                getattr(actual, field.name), value[:n], err_msg=field.name, strict=True
+            )
+
+
+@pytest.mark.parametrize("poisson_loading", [False, True])
+@pytest.mark.parametrize("seed", [5, 2**32 - 1, 2**32, 2**40 + 3])
+def test_run_ensemble_matches_the_per_sequence_reference(measured_params, seed, poisson_loading):
+    config = make_config(
+        load_probability=0.5, poisson_loading=poisson_loading, hold_time=5e-3,
+        normalization_drift=1e-4,
+    )
+    detunings = np.array([-10.0, 0.0, 3.0, 10.0]) * TW
+    expected = reference_ensemble(measured_params, config, detunings, 300, seed)
+    assert_same_ensemble(
+        run_ensemble(measured_params, config, detunings, 300, base_seed=seed), expected
+    )
+
+
+def test_sequences_across_block_edges_match_a_longer_run(measured_params):
+    config = make_config(
+        load_probability=0.5, poisson_loading=True, hold_time=5e-3, normalization_drift=1e-4
+    )
+    detunings = np.array([-10.0, 0.0, 10.0]) * TW
+    long = run_ensemble(measured_params, config, detunings, 600, base_seed=41)
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        short = run_ensemble(measured_params, config, detunings, n, base_seed=41)
+        assert len(short) == n
+        assert_same_ensemble(short, long, n)
+
+
+def test_events_writer_refuses_non_finite_values(measured_params, tmp_path):
+    ensemble = run_ensemble(measured_params, make_config(), np.array([0.0]), 3, base_seed=2)
+    for name in ("local_g", "normalized_detection"):
+        values = getattr(ensemble, name).copy()
+        values[1] = math.nan if name == "local_g" else math.inf
+        broken = dataclasses.replace(ensemble, **{name: values})
+        with pytest.raises(DataFormatError, match=name):
+            events_to_jsonl(broken)
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(DataFormatError):
+            write_events_jsonl(path, broken)
+        assert list(tmp_path.iterdir()) == []

@@ -4,10 +4,11 @@ Derandomized: every run checks the same examples.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibercavity import (
@@ -20,6 +21,7 @@ from fibercavity import (
     run_ensemble,
     transmission,
 )
+from fibercavity.dataio import detuning_keys, events_to_jsonl
 
 TW = from_two_pi_mhz(1.0)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -109,3 +111,72 @@ def test_sequences_do_not_depend_on_ensemble_size(
             np.testing.assert_array_equal(
                 getattr(long, field.name)[:n], getattr(short, field.name), err_msg=field.name
             )
+
+
+def json_dumps_events(ensemble) -> str:
+    """events.jsonl as ``json.dumps(..., sort_keys=True)`` writes each record."""
+    keys = detuning_keys(ensemble.detunings)
+    return "".join(
+        json.dumps({
+            "atom_present": present,
+            "local_g": {"value": g, "unit": "two_pi_mhz"},
+            "detection_counts": detection,
+            "normalized_detection": normalized,
+            "level": level,
+            "spectroscopy_counts": dict(zip(keys, counts)),
+            "survived_hold": survived,
+        }, sort_keys=True) + "\n"
+        for present, g, detection, normalized, level, counts, survived in zip(
+            ensemble.atom_present.tolist(),
+            (ensemble.local_g / TW).tolist(),
+            ensemble.detection_counts.tolist(),
+            ensemble.normalized_detection.tolist(),
+            ensemble.level.tolist(),
+            ensemble.spectroscopy_counts.tolist(),
+            ensemble.survived_hold.tolist(),
+        )
+    )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(
+    n=st.integers(0, 300),
+    grid_khz=st.lists(st.integers(-50_000, 50_000), min_size=1, max_size=9, unique=True),
+    poisson_loading=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    g_values=st.lists(finite.map(abs), max_size=4),
+    normalized_values=st.lists(finite, max_size=4),
+)
+@example(n=0, grid_khz=[0], poisson_loading=False, seed=0, g_values=[], normalized_values=[])
+@example(n=3, grid_khz=[1_000], poisson_loading=False, seed=1, g_values=[], normalized_values=[])
+@example(
+    n=40, grid_khz=[-10_000, -1_000, 0, 1_000, 10_000, -1_500, 25_000], poisson_loading=False,
+    seed=2, g_values=[], normalized_values=[-0.0, 5e-324, 1e16],
+)
+@example(n=300, grid_khz=[-2_000, 2_000], poisson_loading=True, seed=3, g_values=[],
+         normalized_values=[])
+def test_events_jsonl_is_what_json_dumps_writes(
+    n, grid_khz, poisson_loading, seed, g_values, normalized_values
+):
+    system = SystemParams(
+        kappa1=0.12 * TW, kappa2=3.08 * TW, kappa_loss=3.2 * TW, gamma=2.6 * TW, g=7.8 * TW
+    )
+    config = SequenceConfig(
+        load_probability=0.6,
+        g_max=7.8 * TW,
+        detection=ProbeConfig(power=0.8e-12, duration=2e-3),
+        spectroscopy=ProbeConfig(power=0.4e-12, duration=5e-3),
+        hold_time=5e-3,
+        poisson_loading=poisson_loading,
+    )
+    grid = np.array(grid_khz) * 1e-3 * TW
+    ensemble = run_ensemble(system, config, grid, n, base_seed=seed)
+    # drawn floats replace the first values, to cover every form repr takes
+    local_g, normalized = ensemble.local_g.copy(), ensemble.normalized_detection.copy()
+    local_g[: len(g_values)] = g_values[:n]
+    normalized[: len(normalized_values)] = normalized_values[: n]
+    ensemble = dataclasses.replace(ensemble, local_g=local_g, normalized_detection=normalized)
+    assert events_to_jsonl(ensemble) == json_dumps_events(ensemble)
