@@ -80,6 +80,8 @@ class Field(NamedTuple):
     ``{value, unit}`` object and resolves to rad/s, which survives the JSON
     round trip bit-exactly. A number with a ``scale`` (its SI factor)
     resolves to the double that multiplies back to the same SI value.
+    ``attr`` names the library attribute the field builds (see ``_build``)
+    where that differs from its key.
     """
 
     kind: str
@@ -89,6 +91,7 @@ class Field(NamedTuple):
     scale: float | None = None
     flag: str | None = None
     choices: tuple = ()
+    attr: str | None = None
 
 
 def _rates(**defaults_two_pi_mhz) -> dict:
@@ -100,10 +103,10 @@ def _rates(**defaults_two_pi_mhz) -> dict:
 
 def _probe(power_w: float, duration_s: float) -> dict:
     return {
-        "power_w": Field(NUMBER, power_w, minimum=0.0),
-        "duration_s": Field(NUMBER, duration_s, minimum=0.0),
+        "power_w": Field(NUMBER, power_w, minimum=0.0, attr="power"),
+        "duration_s": Field(NUMBER, duration_s, minimum=0.0, attr="duration"),
         **_rates(detuning=0.0),
-        "wavelength_nm": Field(NUMBER, D2_NM, scale=NM),
+        "wavelength_nm": Field(NUMBER, D2_NM, scale=NM, attr="wavelength"),
     }
 
 
@@ -148,15 +151,15 @@ FIT_RECIPE_FIELDS = {
 }
 MODE_SOLVE = {
     "fiber": {
-        "core_radius_um": Field(NUMBER, 2.8, minimum=0.0, scale=UM),
-        "wavelength_nm": Field(NUMBER, D2_NM, minimum=1.0, scale=NM),
+        "core_radius_um": Field(NUMBER, 2.8, minimum=0.0, scale=UM, attr="core_radius"),
+        "wavelength_nm": Field(NUMBER, D2_NM, minimum=1.0, scale=NM, attr="wavelength"),
         # read only when n_core and n_clad are absent; resolves into them
         "numerical_aperture": Field(NUMBER, 0.12, minimum=0.0),
         "n_core": Field(NUMBER),
         "n_clad": Field(NUMBER),
     },
     "cavity": {
-        "length_m": Field(NUMBER, 0.33, minimum=0.0),
+        "length_m": Field(NUMBER, 0.33, minimum=0.0, attr="length"),
         "effective_index": Field(NUMBER, 1.45),
     },
     "atom": {
@@ -174,11 +177,10 @@ EXPERIMENT = {
         **_rates(g_max=7.8),
         "detection": _probe(0.8e-12, 2e-3),
         "spectroscopy": _probe(0.4e-12, 5e-3),
-        "background_rate_cps": Field(NUMBER, 1e4, minimum=0.0),
+        "background_rate_cps": Field(NUMBER, 1e4, minimum=0.0, attr="background_rate"),
         "detector_efficiency": Field(NUMBER, 0.5, minimum=0.0, maximum=1.0),
-        "trap_lifetime_s": Field(NUMBER, 11e-3, minimum=0.0),
-        "hold_time_s": Field(NUMBER, 0.0, minimum=0.0),
-        "rng_seed": Field(INTEGER, 0),
+        "trap_lifetime_s": Field(NUMBER, 11e-3, minimum=0.0, attr="trap_lifetime"),
+        "hold_time_s": Field(NUMBER, 0.0, minimum=0.0, attr="hold_time"),
         "bin_edges": Field(NUMBERS, list(experiment.DEFAULT_BIN_EDGES)),
         "poisson_loading": Field(BOOL, False),
         "normalization_drift": Field(NUMBER, 0.0),
@@ -280,13 +282,20 @@ def _at(pointer: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _values(block: dict) -> dict:
-    """A resolved block with each rate object replaced by its rad/s value."""
-    return {k: v["value"] if isinstance(v, dict) else v for k, v in block.items()}
-
-
-def _system(block: dict) -> SystemParams:
-    return SystemParams(**_values(block))
+def _build(cls, schema: dict, block: dict, **sub_objects):
+    """``cls`` called with each field of the resolved ``block`` under its
+    ``attr`` (or key): a rate in rad/s, a number with a ``scale`` in SI units.
+    Nested blocks are skipped; ``sub_objects`` passes them already built."""
+    kwargs = {}
+    for key, value in block.items():
+        field = schema[key]
+        if isinstance(field, Field):
+            if field.kind == RATE:
+                value = value["value"]
+            elif field.scale is not None:
+                value = value * field.scale
+            kwargs[field.attr or key] = value
+    return cls(**kwargs, **sub_objects)
 
 
 def _load_config(path) -> dict:
@@ -324,7 +333,7 @@ def _output(outputs: list, directory: str, name: str) -> str:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _report(outputs: list, directory: str, name: str, doc: dict):
@@ -361,7 +370,7 @@ def _cmd_spectrum(args) -> int:
     started = time.monotonic()
     config = _resolve(SPECTRUM, _load_config(args.config), args)
     with _at("/system"):
-        system = _system(config["system"])
+        system = _build(SystemParams, SYSTEM, config["system"])
     grid = config["grid"]
     if not grid["delta_max_mhz"] > grid["delta_min_mhz"]:
         raise ConfigError("/grid/delta_max_mhz: must exceed delta_min_mhz")
@@ -401,7 +410,7 @@ def _cmd_ringdown(args) -> int:
     started = time.monotonic()
     config = _resolve(RINGDOWN, _load_config(args.config), args)
     with _at("/ringdown"):
-        params = RingdownParams(**_values(config["ringdown"]))
+        params = _build(RingdownParams, RINGDOWN["ringdown"], config["ringdown"])
     grid = config["grid"]
     if not grid["t_max_ns"] > grid["t_min_ns"]:
         raise ConfigError("/grid/t_max_ns: must exceed t_min_ns")
@@ -490,7 +499,7 @@ def _cmd_fit(args) -> int:
                     _fail(f"/{key}", f"not a field of recipe {recipe}")
     if recipe == "rabi-g":
         with _at("/fixed"):
-            fixed = _system(config["fixed"])
+            fixed = _build(SystemParams, SYSTEM, config["fixed"])
     if args.dump_config:
         return _dump_config_and_exit(config)
 
@@ -533,28 +542,22 @@ def _cmd_fit(args) -> int:
 def _cmd_mode_solve(args) -> int:
     started = time.monotonic()
     config = _resolve(MODE_SOLVE, _load_config(args.config), args)
-    fiber_doc = config["fiber"]
+    fiber_doc, fiber_schema = config["fiber"], MODE_SOLVE["fiber"]
     numerical_aperture = fiber_doc.pop("numerical_aperture")
-    core_radius = fiber_doc["core_radius_um"] * UM
-    wavelength = fiber_doc["wavelength_nm"] * NM
     with _at("/fiber"):
         if "n_core" in fiber_doc or "n_clad" in fiber_doc:
             for key in ("n_core", "n_clad"):
                 if key not in fiber_doc:
                     _fail(f"/fiber/{key}", "required with the other index")
-            fiber = fibermode.FiberSpec(
-                core_radius, fiber_doc["n_core"], fiber_doc["n_clad"], wavelength
-            )
+            fiber = _build(fibermode.FiberSpec, fiber_schema, fiber_doc)
         else:
-            fiber = fibermode.FiberSpec.from_numerical_aperture(
-                core_radius, numerical_aperture, wavelength
+            fiber = _build(
+                fibermode.FiberSpec.from_numerical_aperture, fiber_schema, fiber_doc,
+                numerical_aperture=numerical_aperture,
             )
             fiber_doc.update(n_core=fiber.n_core, n_clad=fiber.n_clad)
     with _at("/cavity"):
-        geom = CavityGeometry(
-            length=config["cavity"]["length_m"],
-            effective_index=config["cavity"]["effective_index"],
-        )
+        geom = _build(CavityGeometry, MODE_SOLVE["cavity"], config["cavity"])
     atom_doc = config["atom"]
     with _at("/atom"):
         atom = fibermode.AtomSpec(
@@ -594,38 +597,18 @@ def _cmd_mode_solve(args) -> int:
 # experiment
 
 
-def _sequence(doc: dict) -> experiment.SequenceConfig:
-    probes = {
-        key: experiment.ProbeConfig(
-            power=doc[key]["power_w"],
-            duration=doc[key]["duration_s"],
-            detuning=doc[key]["detuning"]["value"],
-            wavelength=doc[key]["wavelength_nm"] * NM,
-        )
-        for key in ("detection", "spectroscopy")
-    }
-    return experiment.SequenceConfig(
-        load_probability=doc["load_probability"],
-        g_max=doc["g_max"]["value"],
-        background_rate=doc["background_rate_cps"],
-        detector_efficiency=doc["detector_efficiency"],
-        trap_lifetime=doc["trap_lifetime_s"],
-        hold_time=doc["hold_time_s"],
-        rng_seed=doc["rng_seed"],
-        bin_edges=tuple(doc["bin_edges"]),
-        poisson_loading=doc["poisson_loading"],
-        normalization_drift=doc["normalization_drift"],
-        **probes,
-    )
-
-
 def _cmd_experiment(args) -> int:
     started = time.monotonic()
     config = _resolve(EXPERIMENT, _load_config(args.config), args)
     with _at("/system"):
-        system = _system(config["system"])
+        system = _build(SystemParams, SYSTEM, config["system"])
+    doc, schema = config["sequence"], EXPERIMENT["sequence"]
     with _at("/sequence"):
-        sequence = _sequence(config["sequence"])
+        probes = {
+            key: _build(experiment.ProbeConfig, schema[key], doc[key])
+            for key in ("detection", "spectroscopy")
+        }
+        sequence = _build(experiment.SequenceConfig, schema, doc, **probes)
     n_sequences = config["sequences"]
     # run_ensemble scales sequence i's signal by 1 + drift * i
     if n_sequences and not 1.0 + sequence.normalization_drift * (n_sequences - 1) > 0.0:

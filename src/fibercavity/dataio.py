@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,24 +91,25 @@ def atomic_write_text(path, text: str):
         handle.write(text)
 
 
+def _rows_to_csv(header: tuple, x, factor: float, columns) -> str:
+    """CSV text: ``header``, then one row per entry of x, written in units of
+    ``factor`` (unit-exact), followed by that entry of each column."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for first, *rest in zip(x.tolist(), *(column.tolist() for column in columns)):
+        writer.writerow([_unit_exact_repr(first, factor), *map(repr, rest)])
+    return buffer.getvalue()
+
+
 def spectrum_to_csv(spectrum: Spectrum) -> str:
     """Render a spectrum as CSV with detunings in the 2pi x MHz convention."""
     deltas = _require_finite(spectrum.deltas, "spectrum detunings")
-    values = _require_finite(spectrum.values, "spectrum values")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = list(SPECTRUM_HEADER)
-    sigmas = spectrum.sigmas
-    if sigmas is not None:
-        sigmas = _require_finite(sigmas, "spectrum sigmas")
-        header.append("sigma")
-    writer.writerow(header)
-    for i in range(deltas.size):
-        row = [_unit_exact_repr(float(deltas[i]), TWO_PI_MHZ), repr(float(values[i]))]
-        if sigmas is not None:
-            row.append(repr(float(sigmas[i])))
-        writer.writerow(row)
-    return buffer.getvalue()
+    columns, header = [_require_finite(spectrum.values, "spectrum values")], SPECTRUM_HEADER
+    if spectrum.sigmas is not None:
+        columns.append(_require_finite(spectrum.sigmas, "spectrum sigmas"))
+        header += ("sigma",)
+    return _rows_to_csv(header, deltas, TWO_PI_MHZ, columns)
 
 
 def _csv_columns(text: str, header: tuple, what: str, optional: str | None = None):
@@ -159,12 +160,7 @@ def trace_to_csv(trace: RingdownTrace) -> str:
     """Render a ring-down trace as CSV with times in ns."""
     times = _require_finite(trace.times, "trace times")
     intensities = _require_finite(trace.intensities, "trace intensities")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for t, value in zip(times, intensities):
-        writer.writerow([_unit_exact_repr(float(t), NS), repr(float(value))])
-    return buffer.getvalue()
+    return _rows_to_csv(TRACE_HEADER, times, NS, [intensities])
 
 
 def trace_from_csv(text: str) -> RingdownTrace:
@@ -250,7 +246,7 @@ def write_events_jsonl(path, ensemble):
         handle.writelines(blocks)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one CLI run bit-identically."""
 
@@ -263,30 +259,14 @@ class RunManifest:
     duration_s: float
 
     def to_json(self) -> str:
-        doc = {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "seed": int(self.seed),
-            "tool_version": self.tool_version,
-            "duration_s": float(self.duration_s),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = dataclasses.asdict(self)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         doc = json.loads(text)
         try:
-            return cls(
-                subcommand=doc["subcommand"],
-                config=doc["config"],
-                inputs=list(doc["inputs"]),
-                outputs=list(doc["outputs"]),
-                seed=int(doc["seed"]),
-                tool_version=doc["tool_version"],
-                duration_s=float(doc["duration_s"]),
-            )
+            return cls(**{field.name: doc[field.name] for field in dataclasses.fields(cls)})
         except KeyError as exc:
             raise DataFormatError(f"manifest missing field {exc}") from exc
 

@@ -81,7 +81,8 @@ class FitResult:
         return {
             "names": list(self.names),
             "estimates": [float(v) for v in self.estimates],
-            "uncertainties": [float(v) for v in self.uncertainties],
+            # JSON has no Infinity: an unbounded uncertainty is written as null
+            "uncertainties": [float(v) if math.isfinite(v) else None for v in self.uncertainties],
             "residual_norm": float(self.residual_norm),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
@@ -266,7 +267,10 @@ def _covariance_uncertainties(jw, cost, n_points, n_par, sigmas):
 
     A parameter the model does not respond to (zero Jacobian column) has a
     zero singular value in the information matrix, i.e. infinite variance.
+    So does every parameter of an unweighted fit with no spare degree of freedom.
     """
+    if sigmas is None and n_points <= n_par:
+        return np.full(n_par, np.inf)
     jtj = jw.T @ jw
     col = np.sqrt(np.diag(jtj))
     insensitive = col <= 0.0
@@ -274,9 +278,7 @@ def _covariance_uncertainties(jw, cost, n_points, n_par, sigmas):
     cov_scaled = np.linalg.pinv(jtj / np.outer(col, col), hermitian=True)
     cov = cov_scaled / np.outer(col, col)
     if sigmas is None:
-        dof = n_points - n_par
-        scale = cost / dof if dof > 0 else np.inf
-        cov = cov * scale
+        cov = cov * (cost / (n_points - n_par))
     variances = np.diag(cov).copy()
     variances[variances < 0.0] = np.inf
     variances[insensitive] = np.inf

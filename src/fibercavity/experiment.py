@@ -72,7 +72,6 @@ class SequenceConfig:
     detector_efficiency: float = 0.5
     trap_lifetime: float = 11e-3  # s
     hold_time: float = 0.0  # s, between detection and spectroscopy
-    rng_seed: int = 0
     bin_edges: tuple = field(default=DEFAULT_BIN_EDGES)
     poisson_loading: bool = False
     # fractional signal-gain change per sequence; models slow setup drift
@@ -224,15 +223,15 @@ def run_ensemble(
     config: SequenceConfig,
     spectroscopy_detunings,
     n_sequences: int,
-    base_seed: int | None = None,
+    base_seed: int = 0,
 ) -> Ensemble:
     """Simulate n_sequences independent sequences, ordered by index.
 
-    Sequence i draws from its own stream ``sequence_rng(seed, i)``, in this
-    order: loading, coupling phase(s), detection counts, survival (only when
-    an atom is present), spectroscopy counts. So the output is deterministic,
-    and sequence i does not depend on how many others run. Each sequence
-    replaces the g of ``system`` with its local coupling (zero for
+    Sequence i draws from its own stream ``sequence_rng(base_seed, i)``, in
+    this order: loading, coupling phase(s), detection counts, survival (only
+    when an atom is present), spectroscopy counts. So the output is
+    deterministic, and sequence i does not depend on how many others run. Each
+    sequence replaces the g of ``system`` with its local coupling (zero for
     spectroscopy once the atom is lost) and scales the signal, not the
     background, by the gain 1 + normalization_drift * i: its mean count rate
     is gain * empty_cavity_signal_rate * normalized_transmission + background.
@@ -247,7 +246,6 @@ def run_ensemble(
     gains = 1.0 + config.normalization_drift * np.arange(n)
     if not np.all(gains > 0.0):
         raise ParameterError("signal gain must be positive")
-    seed = config.rng_seed if base_seed is None else base_seed
     detunings = np.asarray(spectroscopy_detunings, dtype=float)
     efficiency, background = config.detector_efficiency, config.background_rate
     det_signal = empty_cavity_signal_rate(system, det, efficiency)
@@ -261,7 +259,7 @@ def run_ensemble(
     counts = np.empty((n, detunings.size), dtype=int)
     for start in range(0, n, BLOCK):
         block = slice(start, min(start + BLOCK, n))
-        rngs = [sequence_rng(seed, i) for i in range(block.start, block.stop)]
+        rngs = [sequence_rng(base_seed, i) for i in range(block.start, block.stop)]
         gain = gains[block]
 
         loaded = np.array([_load(config, rng) for rng in rngs], dtype=float)

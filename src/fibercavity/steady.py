@@ -95,7 +95,7 @@ def empty_cavity_peak_transmission(params: SystemParams) -> float:
 
 def normalized_transmission(params: SystemParams, delta, g=None):
     """T(Delta) over the on-resonance empty-cavity T; ``g`` as in ``transmission``."""
-    reference = transmission(params.with_g(0.0), 0.0)
+    reference = transmission(params, 0.0, g=0.0)
     if reference <= 0.0:
         raise ParameterError(
             "empty-cavity transmission vanishes (kappa1 * kappa2 must be > 0)"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,8 @@ def test_poisson_loading_with_certain_loading_is_rejected(tmp_path, capsys, extr
         (["experiment"], {"sequence": {"hold_time": 0.5}}, "/sequence/hold_time"),
         (["fit", "--recipe", "lorentzian", "--data", "absent.csv"], {"tail_start_ns": 5.0},
          "/tail_start_ns"),
+        # /seed is the only seed of experiment
+        (["experiment"], {"sequence": {"rng_seed": 4}}, "/sequence/rng_seed"),
     ],
 )
 def test_unknown_config_keys_are_rejected(tmp_path, capsys, argv, config, pointer):
@@ -509,3 +512,24 @@ def test_fit_rejects_the_flag_of_another_recipe(tmp_path, capsys, recipe, flag, 
     assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
     assert f"{pointer}: not a field of recipe {recipe}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _strict(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_exact_fit_writes_unbounded_uncertainties_as_null(tmp_path, capsys):
+    # three points, three parameters: no spare degree of freedom for the scale
+    data = tmp_path / "three.csv"
+    data.write_text("delta_two_pi_mhz,transmission_normalized\n-1,0.5\n0,1\n1,0.5\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(
+            "fit", "--recipe", "lorentzian", "--float-center", "--data", str(data),
+            "--out", str(out), "--seed", "1",
+        ) == EXIT_OK
+    written = json.loads((out / "fit_result.json").read_text(), parse_constant=_strict)
+    assert written == json.loads(capsys.readouterr().out, parse_constant=_strict)
+    assert written["uncertainties"] == [None, None, None]
+    assert written["estimates"][1] == pytest.approx(1.0 * TW)

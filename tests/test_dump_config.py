@@ -51,7 +51,6 @@ CONFIGS = {
             "poisson_loading": True,
             "normalization_drift": 1e-5,
             "hold_time_s": 0.002,
-            "rng_seed": 4,
         },
         "detunings": {"min": mhz(-10.0), "max": mhz(10.0), "points": 11},
     },

@@ -40,7 +40,6 @@ def make_config(**overrides):
         detector_efficiency=0.5,
         trap_lifetime=11e-3,
         hold_time=0.0,
-        rng_seed=0,
     )
     defaults.update(overrides)
     return SequenceConfig(**defaults)
