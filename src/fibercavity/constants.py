@@ -1,9 +1,12 @@
 """Physical constants: CODATA values plus cesium D2 reference data.
 
-CODATA constants are taken from :mod:`scipy.constants`. The cesium D2 numbers
-are standard reference data (D. A. Steck, "Cesium D Line Data", rev. 2.3.3):
-vacuum wavelength and natural linewidth. The cycling-transition dipole moment
-is derived from the linewidth through the spontaneous-emission relation
+The CODATA 2022 constants are literals, the values :mod:`scipy.constants`
+1.17 returns, so importing the package does not load scipy;
+``tests/test_constants.py`` checks them against the installed scipy. The
+cesium D2 numbers are standard reference data (D. A. Steck, "Cesium D Line
+Data", rev. 2.3.3): vacuum wavelength and natural linewidth. The
+cycling-transition dipole moment is derived from the linewidth through the
+spontaneous-emission relation
 
     Gamma = omega^3 mu^2 / (3 pi eps0 hbar c^3),
 
@@ -14,11 +17,10 @@ matrix element.
 """
 
 import numpy as np
-from scipy import constants as _sc
 
-C = _sc.c
-HBAR = _sc.hbar
-EPSILON_0 = _sc.epsilon_0
+C = 299792458.0  # m/s, exact
+HBAR = 1.0545718176461565e-34  # J*s, h / 2 pi with h exact
+EPSILON_0 = 8.8541878188e-12  # F/m, CODATA 2022
 
 # Cesium D2 line (6S_1/2 -> 6P_3/2)
 CS_D2_WAVELENGTH = 852.34727582e-9  # m, vacuum

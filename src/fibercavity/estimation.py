@@ -35,7 +35,9 @@ RABI_G_UPPER_BOUND = from_two_pi_mhz(50.0)
 
 
 class FitError(RuntimeError):
-    """The model returned non-finite values where derivatives were needed."""
+    """The fit cannot give a meaningful estimate: the model returned
+    non-finite values where derivatives were needed, or the data do not
+    show the assumed decay."""
 
 
 @dataclass(frozen=True)
@@ -460,7 +462,7 @@ def fit_ringdown_tail(trace, tail_start: float) -> FitResult:
     Only samples with t >= tail_start enter; they must be positive. The
     intensity decay rate equals 2 kappa, so the photon lifetime is 1/rate.
     Pick tail_start at or beyond ~5/(kappa_s - kappa) so the switch-off
-    transient has died.
+    transient has died. Raises FitError if the fitted rate is not positive.
     """
     times = np.asarray(trace.times, dtype=float)
     intensities = np.asarray(trace.intensities, dtype=float)
@@ -476,6 +478,10 @@ def fit_ringdown_tail(trace, tail_start: float) -> FitResult:
     design = np.stack([np.ones_like(t), t], axis=1)
     coef, rss, *_ = np.linalg.lstsq(design, log_i, rcond=None)
     intercept, slope = coef
+    if not slope < 0.0:
+        raise FitError(
+            f"tail does not decay: log-intensity slope {slope:.6g} /s is not negative"
+        )
     fitted = design @ coef
     residuals = log_i - fitted
     rss = float(residuals @ residuals)

@@ -35,9 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
-from scipy.special import jn_zeros, jv, jvp, kv, kvp
 
 from .constants import (
     CS_D2_ANGULAR_FREQUENCY,
@@ -150,6 +147,8 @@ class ModeSolution:
 def _he11_residual_u(u: float, fiber: FiberSpec) -> float:
     """Residual of the nu = 1 full vector characteristic equation at core
     parameter u (with w = sqrt(V^2 - u^2)); u-space keeps the root O(1)."""
+    from scipy.special import jv, jvp, kv, kvp
+
     w = math.sqrt(max(fiber.v_number**2 - u**2, 0.0))
     rho = (fiber.n_clad / fiber.n_core) ** 2
     j = jvp(1, u) / (u * jv(1, u))
@@ -168,6 +167,8 @@ def _dispersion_he11(n_eff: float, fiber: FiberSpec) -> float:
 
 def _dispersion_lp01(u: float, fiber: FiberSpec) -> float:
     """Residual of the scalar LP01 equation u J1/J0 = w K1/K0."""
+    from scipy.special import jv, kv
+
     w = math.sqrt(fiber.v_number**2 - u**2)
     return u * jv(1, u) / jv(0, u) - w * kv(1, w) / kv(0, w)
 
@@ -179,6 +180,8 @@ def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: f
     discontinuous across the index step), so quadrature must integrate each
     branch on its own region.
     """
+    from scipy.special import jv, kv
+
     prefactor = (n_eff * fiber.k0 * fiber.core_radius) ** 2
     c_minus = 0.5 * (1.0 - s)
     c_plus = 0.5 * (1.0 + s)
@@ -237,6 +240,10 @@ def solve_fundamental_mode(
     scan_points : int
         Resolution of the initial sign-change scan over n_eff.
     """
+    from scipy.integrate import simpson
+    from scipy.optimize import brentq
+    from scipy.special import jv, jvp, kv, kvp
+
     v = fiber.v_number
     if v >= SINGLE_MODE_V_LIMIT:
         warnings.warn(
@@ -317,6 +324,9 @@ def solve_fundamental_mode(
 
 def solve_lp01(fiber: FiberSpec) -> float:
     """Scalar LP01 effective index (weakly guiding oracle for HE11)."""
+    from scipy.optimize import brentq
+    from scipy.special import jn_zeros
+
     v = fiber.v_number
     # The LP01 root lies below the first zero of J0 (where J0 changes sign).
     upper = min(v, float(jn_zeros(0, 1)[0]))

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .units import ParameterError, from_two_pi_mhz
 
@@ -150,6 +149,8 @@ def integrate_ringdown(
     the steady-state value. Raises IntegrationError with the offending time
     if the integrator cannot proceed.
     """
+    from scipy.integrate import solve_ivp
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ParameterError("t_grid must be a non-empty 1-d array")

@@ -154,6 +154,21 @@ def test_fit_ringdown_tail_round_trip(tmp_path):
     assert doc["derived"]["kappa"]["value"] == pytest.approx(6.4, rel=1e-2)
 
 
+@pytest.mark.parametrize(
+    "rows", ["0,1\n10,1\n20,1\n30,1\n", "0,1\n10,2\n20,4\n30,8\n"], ids=["flat", "rising"]
+)
+def test_fit_ringdown_tail_that_does_not_decay_is_numeric_failure(tmp_path, capsys, rows):
+    data = tmp_path / "trace.csv"
+    data.write_text("t_ns,intensity_normalized\n" + rows)
+    fit_out = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--recipe", "ringdown-tail", "--data", str(data), "--tail-start-ns", "0",
+        "--out", str(fit_out), "--seed", "1",
+    ) == EXIT_NUMERIC
+    assert "tail does not decay" in capsys.readouterr().err
+    assert not (fit_out / "fit_result.json").exists()
+
+
 def test_fit_exponential_round_trip(tmp_path):
     # exponential recipe reads the x column as time in ms
     times_ms = np.linspace(0.0, 50.0, 12)

@@ -1,0 +1,93 @@
+"""scipy stays off the import path of the CLI and of the subcommands that
+never call it.
+
+Each check runs in a fresh interpreter, because other test modules import
+scipy into this one. The child calls ``fibercavity.cli.main`` step by step
+and appends, after each step, its exit code and the scipy modules loaded so
+far to ``steps.jsonl``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import fibercavity
+from fibercavity import from_two_pi_mhz
+from fibercavity.dataio import spectrum_to_csv
+from fibercavity.estimation import Spectrum
+
+CHILD = """
+import json, sys
+
+def record(name, code):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    with open("steps.jsonl", "a") as handle:
+        handle.write(json.dumps({"step": name, "exit": code, "scipy": loaded}) + "\\n")
+
+from fibercavity.cli import main
+record("import fibercavity.cli", 0)
+for argv in json.loads(sys.argv[1]):
+    record(" ".join(argv), main(argv))
+"""
+
+SCIPY_FREE_STEPS = [
+    ["spectrum", "--out", "spec", "--seed", "1", "--points", "201",
+     "--g-list-mhz", "0,7.8", "--plot"],
+    ["ringdown", "--out", "rd", "--seed", "1", "--method", "analytic",
+     "--t-min-ns", "20", "--t-max-ns", "250", "--points", "301"],
+    ["fit", "--recipe", "lorentzian", "--data", "spec/spectrum_g0.000.csv",
+     "--out", "fit-lorentzian", "--seed", "1"],
+    ["fit", "--recipe", "rabi-g", "--data", "spec/spectrum_g7.800.csv",
+     "--fixed", "fixed.json", "--out", "fit-rabi-g", "--seed", "1"],
+    ["fit", "--recipe", "exponential", "--data", "recovery.csv",
+     "--out", "fit-exponential", "--seed", "1"],
+    ["fit", "--recipe", "ringdown-tail", "--data", "rd/ringdown_analytic.csv",
+     "--tail-start-ns", "25", "--out", "fit-ringdown-tail", "--seed", "1"],
+    ["experiment", "--sequences", "300", "--out", "exp", "--seed", "1"],
+]
+
+
+def run_steps(workdir, steps):
+    """Run ``steps`` through ``main`` in a fresh interpreter; return the
+    records it wrote, the import record first."""
+    src = str(Path(fibercavity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(steps)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (workdir / "steps.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == len(steps) + 1, proc.stderr
+    return records
+
+
+def test_scipy_is_imported_only_by_the_subcommands_that_call_it(tmp_path):
+    work = tmp_path / "session"
+    work.mkdir()
+    (work / "fixed.json").write_text(json.dumps({"g": {"value": 0.0, "unit": "two_pi_mhz"}}))
+    times_ms = np.linspace(0.0, 50.0, 12)
+    recovery = Spectrum(times_ms * from_two_pi_mhz(1.0), 1.0 - 0.85 * np.exp(-times_ms / 11.0))
+    (work / "recovery.csv").write_text(spectrum_to_csv(recovery))
+    compare_step = ["ringdown", "--out", "rd-compare", "--seed", "1", "--compare"]
+
+    session = run_steps(work, [*SCIPY_FREE_STEPS, compare_step])
+    for record in session[:-1]:
+        assert record["exit"] == 0, record["step"]
+        assert record["scipy"] == [], f"{record['step']} loaded {record['scipy'][:5]}"
+    compare = session[-1]
+    assert compare["exit"] == 0
+    assert "scipy.integrate" in compare["scipy"]
+
+    fresh = tmp_path / "mode"
+    fresh.mkdir()
+    [imported, solved] = run_steps(fresh, [["mode-solve", "--out", "ms", "--seed", "1"]])
+    assert imported["scipy"] == []
+    assert solved["exit"] == 0
+    assert {"scipy.special", "scipy.optimize", "scipy.integrate"} <= set(solved["scipy"])
