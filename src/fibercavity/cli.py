@@ -705,10 +705,11 @@ def _add_flags(parser, schema: dict, pointer: str = ""):
             parser.add_argument(flag, help=f"overrides {where}", **options)
 
 
-def _add_common(parser, *schemas):
+def _add_common(parser, *schemas, plot=False):
     parser.add_argument("--config", help="JSON config document")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--plot", action="store_true", help="emit SVG plot(s)")
+    if plot:
+        parser.add_argument("--plot", action="store_true", help="emit SVG plot(s)")
     parser.add_argument(
         "--dump-config",
         action="store_true",
@@ -727,11 +728,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("spectrum", help="steady-state transmission spectrum")
-    _add_common(p, SPECTRUM)
+    _add_common(p, SPECTRUM, plot=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("ringdown", help="reflection ring-down traces")
-    _add_common(p, RINGDOWN)
+    _add_common(p, RINGDOWN, plot=True)
     p.add_argument("--triptych", action="store_true",
                    help="three-panel under/critical/over comparison SVG")
     p.add_argument("--compare", action="store_true",
@@ -748,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mode_solve)
 
     p = sub.add_parser("experiment", help="Monte Carlo measurement pipeline")
-    _add_common(p, EXPERIMENT)
+    _add_common(p, EXPERIMENT, plot=True)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -32,6 +32,7 @@ from . import steady
 from .units import ParameterError, SystemParams, from_two_pi_mhz
 
 RABI_G_UPPER_BOUND = from_two_pi_mhz(50.0)
+TOLERANCE = 1e-10  # relative: cost change, scaled gradient, predicted reduction
 
 
 class FitError(RuntimeError):
@@ -97,11 +98,11 @@ class FitResult:
         return float(self.uncertainties[self.names.index(name)])
 
 
-def _finite_difference_jacobian(model, x, params, rel_step=1e-6):
+def _finite_difference_jacobian(model, x, params):
     n = params.size
     jac = np.empty((x.size, n))
     for i in range(n):
-        h = rel_step * (abs(params[i]) if params[i] != 0.0 else 1.0)
+        h = 1e-6 * (abs(params[i]) if params[i] != 0.0 else 1.0)
         plus = params.copy()
         minus = params.copy()
         plus[i] += h
@@ -124,9 +125,6 @@ def fit_least_squares(
     bounds=None,
     jac=None,
     names=None,
-    max_iterations: int = 200,
-    residual_tol: float = 1e-10,
-    gradient_tol: float = 1e-10,
 ) -> FitResult:
     """Minimize the weighted squared residuals of ``model(x, params) - y``.
 
@@ -205,7 +203,7 @@ def fit_least_squares(
     iterations = 0
     converged = False
     jw = None
-    for _ in range(max_iterations):
+    for _ in range(200):
         jw = jacobian(params) * sqrt_w[:, None]
         gradient = jw.T @ residual
         jtj = jw.T @ jw
@@ -216,7 +214,7 @@ def fit_least_squares(
         scale[scale <= 0.0] = 1.0
         jtj_scaled = jtj / np.outer(scale, scale)
         gradient_scaled = gradient / scale
-        if cost == 0.0 or float(np.max(np.abs(gradient_scaled))) <= gradient_tol:
+        if cost == 0.0 or float(np.max(np.abs(gradient_scaled))) <= TOLERANCE:
             converged = True
             break
         stepped = False
@@ -242,13 +240,13 @@ def fit_least_squares(
         if not stepped:
             # Damping exhausted: no step lowers the cost. That is the optimum
             # when the undamped Gauss-Newton step itself predicts a relative
-            # reduction within residual_tol (MINPACK's ftol test on prered).
+            # reduction within TOLERANCE (MINPACK's ftol test on prered).
             jw_scaled = jw / scale
             gn_step = np.linalg.lstsq(jw_scaled, residual, rcond=None)[0]
             predicted = float(np.sum((jw_scaled @ gn_step) ** 2))
-            converged = predicted <= residual_tol * cost
+            converged = predicted <= TOLERANCE * cost
             break
-        if previous_cost - cost <= residual_tol * max(previous_cost, 1e-300):
+        if previous_cost - cost <= TOLERANCE * max(previous_cost, 1e-300):
             converged = True
             break
 
@@ -291,15 +289,15 @@ def _covariance_uncertainties(jw, cost, n_points, n_par, sigmas):
 # Built-in models and their analytic Jacobians
 
 
-def lorentzian_model(delta, params, center=0.0):
+def lorentzian_model(delta, params):
     amp, kappa = params[0], params[1]
-    c = params[2] if len(params) > 2 else center
+    c = params[2] if len(params) > 2 else 0.0
     return amp * kappa**2 / ((delta - c) ** 2 + kappa**2)
 
 
-def lorentzian_jacobian(delta, params, center=0.0):
+def lorentzian_jacobian(delta, params):
     amp, kappa = params[0], params[1]
-    c = params[2] if len(params) > 2 else center
+    c = params[2] if len(params) > 2 else 0.0
     d2 = (delta - c) ** 2
     den = d2 + kappa**2
     cols = [kappa**2 / den, amp * 2.0 * kappa * d2 / den**2]
@@ -348,28 +346,21 @@ def exponential_recovery_jacobian(tau, params):
 # Fit recipes
 
 
-def fit_empty_cavity(
-    spectrum: Spectrum,
-    *,
-    float_center: bool = False,
-    initial=None,
-    use_sigmas: bool = False,
-) -> FitResult:
+def fit_empty_cavity(spectrum: Spectrum, *, float_center: bool = False) -> FitResult:
     """Fit the empty-cavity Lorentzian amplitude * kappa^2 / (Delta^2 + kappa^2).
 
     Amplitude and kappa are free; the center is fixed at zero unless
     ``float_center`` is set. Returns kappa in rad/s under the name "kappa".
+    The fit is unweighted even when the spectrum carries per-point errors.
     """
     deltas, values = spectrum.deltas, spectrum.values
-    if initial is None:
-        amp0 = float(np.max(values))
-        above = deltas[values >= 0.5 * amp0]
-        if above.size >= 2 and above.max() > above.min():
-            kappa0 = 0.5 * float(above.max() - above.min())
-        else:
-            kappa0 = 0.25 * float(deltas.max() - deltas.min())
-        kappa0 = max(kappa0, 1e-6 * max(abs(deltas).max(), 1.0))
-        initial = [amp0, kappa0] + ([0.0] if float_center else [])
+    amp0 = float(np.max(values))
+    above = deltas[values >= 0.5 * amp0]
+    if above.size >= 2 and above.max() > above.min():
+        kappa0 = 0.5 * float(above.max() - above.min())
+    else:
+        kappa0 = 0.25 * float(deltas.max() - deltas.min())
+    kappa0 = max(kappa0, 1e-6 * max(abs(deltas).max(), 1.0))
 
     names = ("amplitude", "kappa") + (("center",) if float_center else ())
     bounds = [(0.0, None), (1e-30, None)] + ([(None, None)] if float_center else [])
@@ -377,8 +368,7 @@ def fit_empty_cavity(
         lorentzian_model,
         deltas,
         values,
-        initial,
-        sigmas=spectrum.sigmas if use_sigmas else None,
+        [amp0, kappa0] + ([0.0] if float_center else []),
         bounds=bounds,
         jac=lorentzian_jacobian,
         names=names,
@@ -398,13 +388,12 @@ def fit_rabi_g(
     fixed: SystemParams,
     *,
     initial: float | None = None,
-    use_sigmas: bool = False,
 ) -> FitResult:
     """Fit the normalized transmission with g as the only free parameter.
 
     kappa1, kappa2, kappa_loss and gamma are held fixed (independently
-    characterized); g is bounded to [0, 2pi x 50 MHz]. By default the fit is
-    unweighted even when the spectrum carries per-point errors.
+    characterized); g is bounded to [0, 2pi x 50 MHz]. The fit is unweighted
+    even when the spectrum carries per-point errors.
     """
     model, jacobian = rabi_model_factory(fixed)
     if initial is None:
@@ -419,37 +408,34 @@ def fit_rabi_g(
         spectrum.deltas,
         spectrum.values,
         [initial],
-        sigmas=spectrum.sigmas if use_sigmas else None,
         bounds=[(0.0, RABI_G_UPPER_BOUND)],
         jac=jacobian,
         names=("g",),
     )
 
 
-def fit_exponential_recovery(times, values, *, initial=None) -> FitResult:
+def fit_exponential_recovery(times, values) -> FitResult:
     """Fit v(tau) = baseline - amplitude * exp(-tau / lifetime)."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size < 4:
         raise ParameterError("exponential recovery needs at least 4 points")
-    if initial is None:
-        baseline0 = float(values[-1])
-        amplitude0 = baseline0 - float(values[0])
-        span = float(times.max() - times.min())
-        lifetime0 = span / 3.0 if span > 0 else 1.0
-        if amplitude0 != 0.0:
-            # time at which the recovery has covered (1 - 1/e) of its range
-            crossed = np.nonzero(
-                (values - values[0]) / amplitude0 >= 1.0 - math.exp(-1.0)
-            )[0]
-            if crossed.size and times[crossed[0]] > times[0]:
-                lifetime0 = float(times[crossed[0]] - times[0])
-        initial = [baseline0, amplitude0, lifetime0]
+    baseline0 = float(values[-1])
+    amplitude0 = baseline0 - float(values[0])
+    span = float(times.max() - times.min())
+    lifetime0 = span / 3.0 if span > 0 else 1.0
+    if amplitude0 != 0.0:
+        # time at which the recovery has covered (1 - 1/e) of its range
+        crossed = np.nonzero(
+            (values - values[0]) / amplitude0 >= 1.0 - math.exp(-1.0)
+        )[0]
+        if crossed.size and times[crossed[0]] > times[0]:
+            lifetime0 = float(times[crossed[0]] - times[0])
     return fit_least_squares(
         exponential_recovery_model,
         times,
         values,
-        initial,
+        [baseline0, amplitude0, lifetime0],
         bounds=[(None, None), (None, None), (1e-30, None)],
         jac=exponential_recovery_jacobian,
         names=("baseline", "amplitude", "lifetime"),

@@ -101,23 +101,19 @@ class FiberSpec:
 
     @classmethod
     def from_numerical_aperture(
-        cls,
-        core_radius: float,
-        numerical_aperture: float,
-        wavelength: float,
-        n_clad: float | None = None,
+        cls, core_radius: float, numerical_aperture: float, wavelength: float
     ) -> "FiberSpec":
         """Build a FiberSpec from NA, with the cladding index from fused silica."""
-        if n_clad is None:
-            n_clad = sellmeier_fused_silica(wavelength)
+        n_clad = sellmeier_fused_silica(wavelength)
         n_core = math.sqrt(n_clad**2 + float(numerical_aperture) ** 2)
         return cls(core_radius, n_core, n_clad, wavelength)
 
     @classmethod
-    def sm800(cls, wavelength: float = CS_D2_WAVELENGTH) -> "FiberSpec":
-        """SM800-class defaults: 2.8 um core radius, NA 0.12, silica cladding."""
+    def sm800(cls) -> "FiberSpec":
+        """SM800-class fiber at the cesium D2 wavelength: 2.8 um core radius,
+        NA 0.12, silica cladding."""
         return cls.from_numerical_aperture(
-            DEFAULT_CORE_RADIUS, DEFAULT_NUMERICAL_APERTURE, wavelength
+            DEFAULT_CORE_RADIUS, DEFAULT_NUMERICAL_APERTURE, CS_D2_WAVELENGTH
         )
 
 
@@ -132,8 +128,6 @@ class ModeSolution:
     s: float
     effective_area: float
     tail_truncation_error: float
-    radial_extent: float
-    samples_per_region: int
 
     def intensity(self, r):
         """Azimuth-averaged |phi(r)|^2, normalized to 1 on axis."""
@@ -215,30 +209,16 @@ def _intensity_profile(fiber: FiberSpec, n_eff: float, u: float, w: float, s: fl
     return profile
 
 
-def solve_fundamental_mode(
-    fiber: FiberSpec,
-    radial_extent: float = 15.0,
-    samples_per_region: int = 4097,
-    scan_points: int = 2000,
-) -> ModeSolution:
+def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> ModeSolution:
     """Solve the HE11 dispersion equation by bracketed root finding.
 
-    Scans n_eff over (n_clad, n_core) for a sign change, refines it with
-    Brent's method, then integrates the azimuth-averaged intensity out to
-    ``radial_extent`` core radii (composite Simpson rule, core and cladding
-    integrated separately to respect the index step). Warns if V >= 2.405,
-    where the fiber also guides the second mode group; the HE11 root itself
-    stays unique up to V = 3.832.
-
-    Parameters
-    ----------
-    fiber : FiberSpec
-    radial_extent : float
-        Outer integration limit in units of the core radius.
-    samples_per_region : int
-        Simpson sample count for each of the core and cladding regions.
-    scan_points : int
-        Resolution of the initial sign-change scan over n_eff.
+    Scans n_eff over (n_clad, n_core) at 2000 points for a sign change,
+    refines it with Brent's method, then integrates the azimuth-averaged
+    intensity out to 15 core radii (composite Simpson rule with
+    ``samples_per_region`` samples, an odd number, in each of the core and
+    the cladding, which are integrated separately to respect the index
+    step). Warns if V >= 2.405, where the fiber also guides the second mode
+    group; the HE11 root itself stays unique up to V = 3.832.
     """
     from scipy.integrate import simpson
     from scipy.optimize import brentq
@@ -254,7 +234,7 @@ def solve_fundamental_mode(
 
     # Scan in u, where the fundamental root stays O(1); small u means n_eff
     # near n_core, so the fundamental is the crossing at the smallest u.
-    grid = np.linspace(1e-6 * v, v * (1.0 - 1e-9), int(scan_points))
+    grid = np.linspace(1e-6 * v, v * (1.0 - 1e-9), 2000)
     residuals = np.array([_he11_residual_u(x, fiber) for x in grid])
     finite = np.isfinite(residuals)
     signs = np.sign(residuals)
@@ -289,8 +269,9 @@ def solve_fundamental_mode(
     n = int(samples_per_region)
     if n < 3 or n % 2 == 0:
         raise ParameterError("samples_per_region must be odd and >= 3")
+    r0 = 15.0  # outer integration limit, in core radii
     r_core = np.linspace(0.0, 1.0, n)
-    r_clad = np.linspace(1.0, float(radial_extent), n)
+    r_clad = np.linspace(1.0, r0, n)
     area = (
         simpson(core_branch(r_core) * r_core, x=r_core)
         + simpson(clad_branch(r_clad) * r_clad, x=r_clad)
@@ -298,7 +279,6 @@ def solve_fundamental_mode(
 
     # K-function asymptotics: I(R) ~ I(R0) exp(-2 w (R - R0)), so the tail
     # beyond R0 contributes about I(R0) * 2 pi a^2 * R0 / (2 w).
-    r0 = float(radial_extent)
     tail = (
         float(clad_branch(np.array([r0]))[0])
         / peak
@@ -317,8 +297,6 @@ def solve_fundamental_mode(
         s=float(s),
         effective_area=float(area),
         tail_truncation_error=tail,
-        radial_extent=r0,
-        samples_per_region=n,
     )
 
 

@@ -139,15 +139,13 @@ def analytic_trace(params: RingdownParams, t_grid) -> RingdownTrace:
     return RingdownTrace(t_grid, reflected_intensity_analytic(params, t_grid))
 
 
-def integrate_ringdown(
-    params: RingdownParams, t_grid, rtol: float = 1e-9
-) -> RingdownTrace:
+def integrate_ringdown(params: RingdownParams, t_grid) -> RingdownTrace:
     """Numerically integrate the ring-down and sample it on t_grid.
 
-    Adaptive explicit Runge-Kutta (DOP853) in the rotating frame; the system
-    is linear and non-stiff at physical rate ratios. Points with t < 0 get
-    the steady-state value. Raises IntegrationError with the offending time
-    if the integrator cannot proceed.
+    Adaptive explicit Runge-Kutta (DOP853, relative tolerance 1e-9) in the
+    rotating frame; the system is linear and non-stiff at physical rate
+    ratios. Points with t < 0 get the steady-state value. Raises
+    IntegrationError with the offending time if the integrator cannot proceed.
     """
     from scipy.integrate import solve_ivp
 
@@ -165,6 +163,7 @@ def integrate_ringdown(
     )
     root2k2 = math.sqrt(2.0 * kappa2)
     steady = root2k2 * s0 / kappa
+    rtol = 1e-9
 
     def s_in(t):
         return s0 * math.exp(-kappa_s * t)

@@ -179,16 +179,14 @@ def rate_to_mirror(rate: float, geom: CavityGeometry) -> float:
     return 4.0 * geom.effective_index * geom.length * float(rate) / C
 
 
-def classify_coupling(
-    params: SystemParams, critical_tolerance: float = 1e-3
-) -> CouplingRegime:
+def classify_coupling(params: SystemParams) -> CouplingRegime:
     """Label the output coupling by the sign of kappa2 - (kappa1 + kappa_loss).
 
-    |margin| <= critical_tolerance * kappa counts as critically coupled,
-    since exact equality never happens with measured rates.
+    |margin| <= 1e-3 * kappa counts as critically coupled, since exact
+    equality never happens with measured rates.
     """
     margin = params.kappa2 - params.kappa1 - params.kappa_loss
-    if abs(margin) <= critical_tolerance * params.kappa:
+    if abs(margin) <= 1e-3 * params.kappa:
         label = CouplingLabel.CRITICALLY_COUPLED
     elif margin < 0.0:
         label = CouplingLabel.UNDERCOUPLED

@@ -141,17 +141,7 @@ def _panel(series, x0, y0, panel_w, panel_h, title, x_label, y_label):
     return "".join(parts)
 
 
-def line_chart(
-    series,
-    *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 640,
-    height: int = 420,
-) -> str:
-    """Render one panel of line series: [(label, x, y), ...] -> SVG text."""
-    body = _panel(series, 0.0, 0.0, float(width), float(height), title, x_label, y_label)
+def _document(width: int, height: int, body: str) -> str:
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -159,35 +149,17 @@ def line_chart(
     )
 
 
-def triptych(
-    panels,
-    *,
-    x_label: str = "",
-    y_label: str = "",
-    panel_width: int = 360,
-    height: int = 360,
-) -> str:
-    """Three (or more) titled panels side by side: [(title, series), ...]."""
+def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """Render one 640 x 420 panel of line series: [(label, x, y), ...] -> SVG text."""
+    return _document(640, 420, _panel(series, 0.0, 0.0, 640.0, 420.0, title, x_label, y_label))
+
+
+def triptych(panels, *, x_label: str = "", y_label: str = "") -> str:
+    """Three (or more) titled 360 x 360 panels side by side: [(title, series), ...]."""
     if not panels:
         raise PlotError("no panels to plot")
-    width = panel_width * len(panels)
-    parts = []
-    for i, (title, series) in enumerate(panels):
-        parts.append(
-            _panel(
-                series,
-                i * float(panel_width),
-                0.0,
-                float(panel_width),
-                float(height),
-                title,
-                x_label,
-                y_label if i == 0 else "",
-            )
-        )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'{"".join(parts)}</svg>\n'
-    )
+    parts = [
+        _panel(series, i * 360.0, 0.0, 360.0, 360.0, title, x_label, y_label if i == 0 else "")
+        for i, (title, series) in enumerate(panels)
+    ]
+    return _document(360 * len(panels), 360, "".join(parts))

@@ -116,8 +116,7 @@ class SystemParams:
     rate is kappa = kappa1 + kappa2 + kappa_loss. gamma is the atomic
     polarization decay rate and g the atom-cavity coupling rate.
     cavity_detuning is omega_C - omega_A; probe detunings are measured from
-    the atomic resonance. omega_A (absolute optical angular frequency) is
-    optional: the steady-state response depends only on detunings.
+    the atomic resonance, so no absolute optical frequency is needed.
     Construction validates (see ``validate``), so every instance is valid.
     """
 
@@ -126,7 +125,6 @@ class SystemParams:
     kappa_loss: float
     gamma: float
     g: float
-    omega_A: float | None = None
     cavity_detuning: float = 0.0
 
     def __post_init__(self):
@@ -139,18 +137,15 @@ class SystemParams:
     def with_g(self, g: float) -> "SystemParams":
         return replace(self, g=g)
 
-    def to_json_dict(self, unit: str = "two_pi_mhz") -> dict:
-        doc = {
-            "kappa1": rate_to_json(self.kappa1, unit),
-            "kappa2": rate_to_json(self.kappa2, unit),
-            "kappa_loss": rate_to_json(self.kappa_loss, unit),
-            "gamma": rate_to_json(self.gamma, unit),
-            "g": rate_to_json(self.g, unit),
-            "cavity_detuning": rate_to_json(self.cavity_detuning, unit),
+    def to_json_dict(self) -> dict:
+        return {
+            "kappa1": rate_to_json(self.kappa1),
+            "kappa2": rate_to_json(self.kappa2),
+            "kappa_loss": rate_to_json(self.kappa_loss),
+            "gamma": rate_to_json(self.gamma),
+            "g": rate_to_json(self.g),
+            "cavity_detuning": rate_to_json(self.cavity_detuning),
         }
-        if self.omega_A is not None:
-            doc["omega_A"] = rate_to_json(self.omega_A, "rad_per_s")
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SystemParams":
@@ -158,14 +153,12 @@ class SystemParams:
         for name in required:
             if name not in doc:
                 raise ParameterError(f"missing field {name!r} in system params")
-        omega_a = doc.get("omega_A")
         return cls(
             kappa1=rate_from_json(doc["kappa1"]),
             kappa2=rate_from_json(doc["kappa2"]),
             kappa_loss=rate_from_json(doc["kappa_loss"]),
             gamma=rate_from_json(doc["gamma"]),
             g=rate_from_json(doc["g"]),
-            omega_A=None if omega_a is None else rate_from_json(omega_a),
             cavity_detuning=rate_from_json(
                 doc.get("cavity_detuning", {"value": 0.0, "unit": "rad_per_s"})
             ),
@@ -189,8 +182,6 @@ def validate(params: SystemParams) -> SystemParams:
         raise ParameterError("kappa = kappa1 + kappa2 + kappa_loss must be positive")
     if not math.isfinite(params.cavity_detuning):
         raise ParameterError("cavity_detuning must be finite")
-    if params.omega_A is not None and not params.omega_A > 0.0:
-        raise ParameterError("omega_A must be positive when given")
     return params
 
 

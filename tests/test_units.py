@@ -143,13 +143,6 @@ def test_system_params_json_round_trip(measured_params):
         assert getattr(back, name) == pytest.approx(
             getattr(measured_params, name), rel=1e-15
         )
-    assert back.omega_A is None
-
-    with_omega = SystemParams(
-        kappa1=1.0, kappa2=1.0, kappa_loss=0.0, gamma=1.0, g=0.0, omega_A=2.21e15
-    )
-    doc = with_omega.to_json_dict()
-    assert SystemParams.from_json_dict(doc).omega_A == pytest.approx(2.21e15)
 
 
 def test_system_params_json_missing_field():
