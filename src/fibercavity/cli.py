@@ -371,6 +371,7 @@ def _cmd_spectrum(args) -> int:
     config = _resolve(SPECTRUM, _load_config(args.config), args)
     with _at("/system"):
         system = _build(SystemParams, SYSTEM, config["system"])
+        steady.empty_cavity_reference(system)
     grid = config["grid"]
     if not grid["delta_max_mhz"] > grid["delta_min_mhz"]:
         raise ConfigError("/grid/delta_max_mhz: must exceed delta_min_mhz")
@@ -411,12 +412,21 @@ def _cmd_ringdown(args) -> int:
     config = _resolve(RINGDOWN, _load_config(args.config), args)
     with _at("/ringdown"):
         params = _build(RingdownParams, RINGDOWN["ringdown"], config["ringdown"])
+        # --triptych panels: kappa2 under, at and over critical coupling
+        other = params.kappa1 + params.kappa_loss
+        panels = [
+            (title, dataclasses.replace(params, kappa2=scale * other))
+            for title, scale in (("undercoupled", 0.5), ("critical", 1.0), ("overcoupled", 2.0))
+        ] if args.triptych else []
     grid = config["grid"]
     if not grid["t_max_ns"] > grid["t_min_ns"]:
         raise ConfigError("/grid/t_max_ns: must exceed t_min_ns")
     method = config["method"]
     if args.compare and method != "both":
         raise ConfigError("/method: --compare needs method = both")
+    if method != "analytic":
+        with _at("/grid/t_max_ns"):
+            ringdown.check_integration_span(params, grid["t_max_ns"] * 1e-9)
     if args.dump_config:
         return _dump_config_and_exit(config)
 
@@ -454,19 +464,14 @@ def _cmd_ringdown(args) -> int:
             ),
         )
 
-    if args.triptych:
-        other = params.kappa1 + params.kappa_loss
-        panels = []
-        for title, kappa2 in (
-            ("undercoupled", 0.5 * other),
-            ("critical", other),
-            ("overcoupled", 2.0 * other),
-        ):
-            trace = ringdown.analytic_trace(dataclasses.replace(params, kappa2=kappa2), t_grid)
-            panels.append((title, [("analytic", trace.times * 1e9, trace.intensities)]))
+    if panels:
+        charts = []
+        for title, panel in panels:
+            trace = ringdown.analytic_trace(panel, t_grid)
+            charts.append((title, [("analytic", trace.times * 1e9, trace.intensities)]))
         dataio.atomic_write_text(
             _output(outputs, args.out, "ringdown_triptych.svg"),
-            svgplot.triptych(panels, x_label="t (ns)", y_label="|s_out|^2 / s0^2"),
+            svgplot.triptych(charts, x_label="t (ns)", y_label="|s_out|^2 / s0^2"),
         )
 
     if summary:
@@ -500,6 +505,7 @@ def _cmd_fit(args) -> int:
     if recipe == "rabi-g":
         with _at("/fixed"):
             fixed = _build(SystemParams, SYSTEM, config["fixed"])
+            steady.empty_cavity_reference(fixed)
     if args.dump_config:
         return _dump_config_and_exit(config)
 
@@ -602,20 +608,16 @@ def _cmd_experiment(args) -> int:
     config = _resolve(EXPERIMENT, _load_config(args.config), args)
     with _at("/system"):
         system = _build(SystemParams, SYSTEM, config["system"])
+        steady.empty_cavity_reference(system)
     doc, schema = config["sequence"], EXPERIMENT["sequence"]
+    n_sequences = config["sequences"]
     with _at("/sequence"):
         probes = {
             key: _build(experiment.ProbeConfig, schema[key], doc[key])
             for key in ("detection", "spectroscopy")
         }
         sequence = _build(experiment.SequenceConfig, schema, doc, **probes)
-    n_sequences = config["sequences"]
-    # run_ensemble scales sequence i's signal by 1 + drift * i
-    if n_sequences and not 1.0 + sequence.normalization_drift * (n_sequences - 1) > 0.0:
-        _fail(
-            "/sequence/normalization_drift",
-            f"signal gain 1 + drift * i must stay positive up to i = {n_sequences - 1}",
-        )
+        experiment.check_ensemble(system, sequence, n_sequences)
     d_min, d_max = (config["detunings"][k]["value"] for k in ("min", "max"))
     if not d_max >= d_min:
         raise ConfigError("/detunings/max: must be >= min")

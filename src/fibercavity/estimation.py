@@ -354,6 +354,8 @@ def fit_empty_cavity(spectrum: Spectrum, *, float_center: bool = False) -> FitRe
     The fit is unweighted even when the spectrum carries per-point errors.
     """
     deltas, values = spectrum.deltas, spectrum.values
+    if not len(spectrum):
+        raise ParameterError("spectrum holds no points")
     amp0 = float(np.max(values))
     above = deltas[values >= 0.5 * amp0]
     if above.size >= 2 and above.max() > above.min():

@@ -206,6 +206,10 @@ def sequence_rng(base_seed: int, index: int) -> np.random.Generator:
 # transients of run_ensemble and of the events.jsonl writer.
 BLOCK = 256
 
+# numpy's Poisson sampler refuses a mean above 9.223372006484771e18; the
+# limit sits below it by more than the rounding of the bound it is held to.
+POISSON_MEAN_LIMIT = 9.2e18
+
 
 def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float]:
     """Draw whether an atom loads and its (collective) coupling rate."""
@@ -216,6 +220,47 @@ def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float
         return bool(draws), math.sqrt(sum(g * g for g in draws))
     present = rng.random() < config.load_probability
     return present, sample_local_g(config.g_max, rng) if present else 0.0
+
+
+def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: int):
+    """Reject, before anything is drawn, an ensemble run_ensemble cannot simulate.
+
+    The signal gain 1 + normalization_drift * i must stay positive for every
+    sequence i, and no probe's mean count may exceed POISSON_MEAN_LIMIT. The
+    mean count is bounded with the largest gain and with
+    T_norm <= 1 + (cavity_detuning / kappa)^2, which holds because T never
+    exceeds the empty-cavity peak 4 kappa1 kappa2 / kappa^2. Normalized
+    counts, (counts / duration - background) / signal, must stay within 1e100
+    for every count a draw can return (below 2**63), so that their means,
+    squared deviations and fits stay finite; this refuses a vanishing
+    empty-cavity signal. The ParameterError names the field at fault.
+    """
+    if n_sequences < 0:
+        raise ParameterError("n_sequences must be non-negative")
+    if not n_sequences:
+        return
+    last_gain = 1.0 + config.normalization_drift * (n_sequences - 1)
+    if not last_gain > 0.0:
+        raise ParameterError(
+            f"signal gain 1 + drift * i must stay positive up to i = {n_sequences - 1}",
+            field="normalization_drift",
+        )
+    peak = max(last_gain, 1.0) * (1.0 + (system.cavity_detuning / system.kappa) ** 2)
+    for name in ("detection", "spectroscopy"):
+        probe = getattr(config, name)
+        signal = empty_cavity_signal_rate(system, probe, config.detector_efficiency)
+        mean = (peak * signal + config.background_rate) * probe.duration
+        if not mean <= POISSON_MEAN_LIMIT:
+            raise ParameterError(
+                f"mean count up to {mean:.4g} exceeds {POISSON_MEAN_LIMIT:.4g}, "
+                "the largest Poisson mean that can be drawn",
+                field=name,
+            )
+        if not 2.0**63 / probe.duration + config.background_rate < 1e100 * signal:
+            raise ParameterError(
+                f"an empty-cavity signal of {signal:.4g} counts/s normalizes counts beyond 1e100",
+                field=name,
+            )
 
 
 def run_ensemble(
@@ -237,15 +282,12 @@ def run_ensemble(
     is gain * empty_cavity_signal_rate * normalized_transmission + background.
     Normalization divides by the same empty-cavity signal, so values compare
     across sequences. Sequences run in blocks of ``BLOCK``, which bounds the
-    transients to one block's rates.
+    transients to one block's rates. ``check_ensemble`` runs first.
     """
-    if n_sequences < 0:
-        raise ParameterError("n_sequences must be non-negative")
+    check_ensemble(system, config, n_sequences)
     spec, det = config.spectroscopy, config.detection
     n = int(n_sequences)
     gains = 1.0 + config.normalization_drift * np.arange(n)
-    if not np.all(gains > 0.0):
-        raise ParameterError("signal gain must be positive")
     detunings = np.asarray(spectroscopy_detunings, dtype=float)
     efficiency, background = config.detector_efficiency, config.background_rate
     det_signal = empty_cavity_signal_rate(system, det, efficiency)

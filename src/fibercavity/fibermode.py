@@ -53,7 +53,9 @@ DEFAULT_NUMERICAL_APERTURE = 0.12
 
 
 class NoGuidedModeError(RuntimeError):
-    """No root of the characteristic equation inside (n_clad, n_core)."""
+    """No root of the characteristic equation inside (n_clad, n_core), or
+    none whose mode profile double precision can represent (V in the
+    hundreds, where the cladding Bessel K functions underflow)."""
 
 
 def sellmeier_fused_silica(wavelength_m: float) -> float:
@@ -225,6 +227,8 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
     from scipy.special import jv, jvp, kv, kvp
 
     v = fiber.v_number
+    if v**2 == 0.0:  # the residual divides by u^2 and w^2, which underflow
+        raise NoGuidedModeError(f"V = {v:.4g} is too small to resolve a root")
     if v >= SINGLE_MODE_V_LIMIT:
         warnings.warn(
             f"V = {v:.3f} >= {SINGLE_MODE_V_LIMIT}: fiber is not single-mode at "
@@ -276,6 +280,8 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
         simpson(core_branch(r_core) * r_core, x=r_core)
         + simpson(clad_branch(r_clad) * r_clad, x=r_clad)
     ) * 2.0 * math.pi * fiber.core_radius**2 / peak
+    if not 0.0 < area < math.inf:
+        raise NoGuidedModeError(f"V = {v:.4g}: mode profile not representable (area {area})")
 
     # K-function asymptotics: I(R) ~ I(R0) exp(-2 w (R - R0)), so the tail
     # beyond R0 contributes about I(R0) * 2 pi a^2 * R0 / (2 w).
@@ -311,7 +317,7 @@ def solve_lp01(fiber: FiberSpec) -> float:
     lo, hi = 1e-9 * upper, upper * (1.0 - 1e-12)
     flo = _dispersion_lp01(lo, fiber)
     fhi = _dispersion_lp01(hi, fiber)
-    if flo * fhi > 0.0:
+    if not flo * fhi <= 0.0:  # NaN where the Bessel functions underflow
         raise NoGuidedModeError("no LP01 root bracket; fiber outside model validity")
     u = brentq(_dispersion_lp01, lo, hi, args=(fiber,), xtol=1e-16, rtol=8.9e-16)
     return math.sqrt(fiber.n_core**2 - (u / (fiber.k0 * fiber.core_radius)) ** 2)

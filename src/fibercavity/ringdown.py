@@ -37,6 +37,11 @@ from .units import ParameterError, from_two_pi_mhz
 
 DEFAULT_KAPPA_S = from_two_pi_mhz(50.0)  # rad/s, default switch-off rate
 
+# The explicit integrator's steps stay near its stability limit ~1/kappa even
+# after the field has decayed, so its cost grows as kappa * t_end; far below
+# this span exp(-2 kappa t) is already smaller than the smallest double.
+MAX_INTEGRATED_LIFETIMES = 1e4
+
 
 class IntegrationError(RuntimeError):
     """The adaptive integrator failed to reach the requested accuracy."""
@@ -139,13 +144,24 @@ def analytic_trace(params: RingdownParams, t_grid) -> RingdownTrace:
     return RingdownTrace(t_grid, reflected_intensity_analytic(params, t_grid))
 
 
+def check_integration_span(params: RingdownParams, t_end: float):
+    """Refuse to integrate beyond MAX_INTEGRATED_LIFETIMES lifetimes 1/kappa."""
+    if t_end * params.kappa > MAX_INTEGRATED_LIFETIMES:
+        raise ParameterError(
+            f"integrating to t = {t_end:.4g} s spans {t_end * params.kappa:.4g} cavity "
+            f"lifetimes 1/kappa, more than {MAX_INTEGRATED_LIFETIMES:g}"
+        )
+
+
 def integrate_ringdown(params: RingdownParams, t_grid) -> RingdownTrace:
     """Numerically integrate the ring-down and sample it on t_grid.
 
     Adaptive explicit Runge-Kutta (DOP853, relative tolerance 1e-9) in the
     rotating frame; the system is linear and non-stiff at physical rate
     ratios. Points with t < 0 get the steady-state value. Raises
-    IntegrationError with the offending time if the integrator cannot proceed.
+    IntegrationError with the offending time if the integrator cannot proceed,
+    and ParameterError (see ``check_integration_span``) for a grid that ends
+    too many lifetimes after the switch-off.
     """
     from scipy.integrate import solve_ivp
 
@@ -175,6 +191,7 @@ def integrate_ringdown(params: RingdownParams, t_grid) -> RingdownTrace:
     amplitudes = np.full(t_grid.shape, steady)
     if positive.size:
         t_end = float(positive[-1])
+        check_integration_span(params, t_end)
         if t_end == 0.0:
             field = np.array([steady])
         else:

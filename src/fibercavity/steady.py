@@ -93,13 +93,25 @@ def empty_cavity_peak_transmission(params: SystemParams) -> float:
     return 4.0 * params.kappa1 * params.kappa2 / params.kappa**2
 
 
+def empty_cavity_reference(params: SystemParams) -> float:
+    """The empty-cavity T(0) that ``normalized_transmission`` divides by.
+
+    Raises ParameterError when it vanishes, or is 0/0 because gamma * kappa
+    underflows, so a caller can reject such params before it computes
+    anything.
+    """
+    reference = transmission(params, 0.0, g=0.0)
+    if not reference > 0.0:
+        raise ParameterError(
+            f"empty-cavity transmission T(0) is {reference}: kappa1 * kappa2 must be > 0, "
+            "and gamma * kappa must not underflow"
+        )
+    return reference
+
+
 def normalized_transmission(params: SystemParams, delta, g=None):
     """T(Delta) over the on-resonance empty-cavity T; ``g`` as in ``transmission``."""
-    reference = transmission(params, 0.0, g=0.0)
-    if reference <= 0.0:
-        raise ParameterError(
-            "empty-cavity transmission vanishes (kappa1 * kappa2 must be > 0)"
-        )
+    reference = empty_cavity_reference(params)
     return transmission(params, delta, g) / reference
 
 

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import math
 import os
+import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -212,6 +215,50 @@ def test_mode_solve_degenerate_fiber_is_numeric_failure(tmp_path):
     assert run_cli("mode-solve", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize(
+    "fiber",
+    [
+        # V = 372 and 702: the cladding Bessel K functions underflow, which left
+        # a NaN mode area (reported as a bad mode volume) or a NaN LP01 bracket
+        {"numerical_aperture": 18.0},
+        {"numerical_aperture": 34.0},
+        # V = 2e-184: V^2 underflows, and the HE11 residual divided by zero
+        {"core_radius_um": 2.5e-189},
+    ],
+)
+def test_mode_solve_beyond_double_precision_is_numeric_failure(tmp_path, capsys, fiber):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fiber": fiber}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload builder, loaded from bench/ for one test."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_toolkit_session_fits_converge_at_bench_seed_84(tmp_path, workloads):
+    # on these inputs the engine once stopped unconverged at the optimum
+    # ("damping exhausted"); the MINPACK ftol test at exhausted damping fixed it
+    session = workloads.build("toolkit-session", 84, str(tmp_path / "inputs"))
+    fits = [call for call in session.calls if call.subcommand == "fit"]
+    assert len(fits) == 4
+    for call in fits:
+        out = tmp_path / call.dirname
+        assert run_cli(*call.argv, "--out", str(out)) == EXIT_OK, call.label
+        assert json.loads((out / "fit_result.json").read_text())["converged"] is True
+        assert call.check(str(out)) == [], call.label
+
+
 def test_experiment_outputs_and_replay(tmp_path):
     out1 = tmp_path / "e1"
     assert run_cli(
@@ -356,6 +403,17 @@ def test_csv_bad_cell_is_data_format_error(tmp_path, capsys, recipe, header, cel
     assert "line 3" in capsys.readouterr().err
 
 
+def test_fit_on_a_csv_without_rows_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("delta_two_pi_mhz,transmission_normalized\n")
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--recipe", "lorentzian", "--data", str(data), "--out", str(out)) == (
+        EXIT_CONFIG
+    )
+    assert "spectrum holds no points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "subcommand, config, pointer",
     [
@@ -369,14 +427,42 @@ def test_csv_bad_cell_is_data_format_error(tmp_path, capsys, recipe, header, cel
         ("spectrum", {"grid": {"delta_max_mhz": 10**400}}, "/grid/delta_max_mhz"),
         ("experiment", {"sequence": {"normalization_drift": -0.01}, "sequences": 300},
          "/sequence/normalization_drift"),
+        # no empty-cavity transmission to normalize by
+        ("spectrum", {"system": {"kappa1": {"value": 0, "unit": "two_pi_mhz"}}}, "/system"),
+        ("experiment", {"system": {"kappa2": {"value": 0, "unit": "rad_per_s"}}}, "/system"),
+        # gamma * kappa underflows: T(0) = 0/0
+        ("spectrum", {"system": {"gamma": {"value": 1e-200, "unit": "rad_per_s"}}}, "/system"),
+        ("experiment", {"system": {"gamma": {"value": 1e-200, "unit": "rad_per_s"}},
+                        "sequences": 5, "detunings": {"points": 5}}, "/system"),
+        # mean counts beyond what numpy's Poisson sampler draws
+        ("experiment", {"sequence": {"detection": {"power_w": 1000, "duration_s": 1000}},
+                        "sequences": 3, "detunings": {"points": 3}}, "/sequence/detection"),
+        ("experiment", {"sequence": {"spectroscopy": {"power_w": 1e-3, "duration_s": 1e9},
+                                     "normalization_drift": 1.0},
+                        "sequences": 3, "detunings": {"points": 3}}, "/sequence/spectroscopy"),
+        # an empty-cavity signal so small that normalized counts, or their
+        # squared deviations in the standard errors, overflow
+        ("experiment", {"system": {"kappa1": {"value": 1e-300, "unit": "rad_per_s"}},
+                        "sequences": 3, "detunings": {"points": 3}}, "/sequence/detection"),
+        ("experiment", {"system": {"kappa1": {"value": 2e-164, "unit": "rad_per_s"}},
+                        "sequences": 50, "detunings": {"points": 21}}, "/sequence/detection"),
+        # 1e8 lifetimes: the explicit integrator would step for hours
+        ("ringdown", {"grid": {"t_max_ns": 2.5e9}}, "/grid/t_max_ns"),
+        ("fit", {"recipe": "rabi-g", "data": "data.csv",
+                 "fixed": {"kappa1": {"value": 0.0, "unit": "two_pi_mhz"}}}, "/fixed"),
     ],
 )
 def test_bad_numbers_rejected_before_running(tmp_path, capsys, subcommand, config, pointer):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert run_cli(subcommand, "--config", str(cfg), "--out", str(out), "--seed", "1") == EXIT_CONFIG
-    assert pointer in capsys.readouterr().err
+    argv = (subcommand, "--config", str(cfg), "--out", str(out), "--seed", "1")
+    assert run_cli(*argv, "--dump-config") == EXIT_CONFIG
+    assert pointer + ": " in capsys.readouterr().err
+    assert run_cli(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: " + pointer + ": ")
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -410,6 +496,24 @@ def test_grid_with_colliding_event_keys_is_rejected(tmp_path, capsys, detunings)
     ) == EXIT_CONFIG
     message = capsys.readouterr().err
     assert "/detunings/points" in message and "events.jsonl key" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ringdown",
+    [
+        {"kappa1": _two_pi_mhz(0.0), "kappa_loss": _two_pi_mhz(0.0)},  # every panel has kappa 0
+        {"kappa_loss": _two_pi_mhz(20.0)},  # the overcoupled panel's kappa exceeds kappa_s
+    ],
+)
+def test_triptych_panels_are_checked_before_running(tmp_path, capsys, ringdown):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"ringdown": ringdown}))
+    out = tmp_path / "out"
+    argv = ("ringdown", "--config", str(cfg), "--triptych", "--out", str(out))
+    for extra in (("--dump-config",), ()):
+        assert run_cli(*argv, *extra) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: /ringdown: ")
     assert not out.exists()
 
 

@@ -24,6 +24,7 @@ from fibercavity import (
     sample_local_g,
     transmission_peak_detunings,
 )
+from fibercavity import experiment
 from fibercavity.dataio import DataFormatError, events_to_jsonl, write_events_jsonl
 from fibercavity.experiment import BLOCK, _load, empty_cavity_signal_rate, sequence_rng
 
@@ -319,6 +320,41 @@ def test_spectroscopy_probe_detuning_other_than_zero_is_a_config_check():
         make_config(spectroscopy=spectroscopy)
     assert caught.value.field == "spectroscopy/detuning"
     make_config(detection=ProbeConfig(power=0.8e-12, duration=2e-3, detuning=10.0 * TW))
+
+
+@pytest.mark.parametrize("probe", ["detection", "spectroscopy"])
+def test_mean_count_beyond_the_poisson_sampler_is_rejected_before_drawing(
+    measured_params, monkeypatch, probe
+):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the mean counts")
+
+    monkeypatch.setattr(experiment, "sequence_rng", no_draws)
+    config = make_config(**{probe: ProbeConfig(power=1e3, duration=1e3)})
+    with pytest.raises(ParameterError, match="Poisson mean") as caught:
+        run_ensemble(measured_params, config, np.array([0.0]), 3, base_seed=1)
+    assert caught.value.field == probe
+    run_ensemble(measured_params, config, np.array([0.0]), 0)  # nothing to draw
+
+
+def test_largest_mean_count_reaches_its_bound_and_draws(measured_params):
+    # An empty cavity probed at the cavity detuning transmits the bound
+    # 1 + (cavity_detuning / kappa)^2 of T_norm; the last sequence has the
+    # largest gain, 1 + 0.5 * 2.
+    system = dataclasses.replace(measured_params, cavity_detuning=4.0 * TW)
+    detunings = np.array([-4.0, 0.0, 4.0]) * TW
+    unit = ProbeConfig(power=1.0, duration=1.0)
+    signal = empty_cavity_signal_rate(system, unit, 0.5)
+    peak = 2.0 * (1.0 + (system.cavity_detuning / system.kappa) ** 2)
+    power = (0.999 * experiment.POISSON_MEAN_LIMIT - 1e4) / (peak * signal)
+    config = make_config(load_probability=0.0, normalization_drift=0.5,
+                         spectroscopy=ProbeConfig(power=power, duration=1.0))
+    ensemble = run_ensemble(system, config, detunings, 3, base_seed=5)
+    assert ensemble.spectroscopy_counts[2, 2] > 0.998 * experiment.POISSON_MEAN_LIMIT
+    over = dataclasses.replace(config, spectroscopy=ProbeConfig(power=1.01 * power, duration=1.0))
+    with pytest.raises(ParameterError) as caught:
+        experiment.check_ensemble(system, over, 3)
+    assert caught.value.field == "spectroscopy"
 
 
 def reference_ensemble(system, config, detunings, n, seed):

@@ -12,12 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibercavity import (
+    CavityGeometry,
     Ensemble,
     ProbeConfig,
+    RingdownParams,
     SequenceConfig,
     SystemParams,
+    analytic_trace,
     from_two_pi_mhz,
+    integrate_ringdown,
+    mirror_to_rate,
     normalized_transmission,
+    rate_to_mirror,
     run_ensemble,
     transmission,
 )
@@ -75,6 +81,38 @@ def test_normalized_empty_cavity_transmission_is_one_at_zero_detuning(params):
     empty = params.with_g(0.0)
     assert normalized_transmission(empty, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert normalized_transmission(params, [0.0], g=[0.0]) == pytest.approx([1.0], rel=1e-12)
+
+
+@PROPERTY
+@given(
+    kappa1=rates,
+    kappa2=st.just(0.0) | rates,
+    kappa_loss=st.just(0.0) | rates,
+    ratio=st.floats(1.2, 40.0),
+    s0=st.floats(0.1, 10.0),
+)
+def test_closed_form_ringdown_matches_the_integration(kappa1, kappa2, kappa_loss, ratio, s0):
+    kappa = kappa1 + kappa2 + kappa_loss
+    params = RingdownParams(kappa1, kappa2, kappa_loss, kappa_s=ratio * kappa, s0=s0)
+    t = np.linspace(-2.0 / kappa, 12.0 / kappa, 201)
+    exact = analytic_trace(params, t).intensities
+    numeric = integrate_ringdown(params, t).intensities
+    # the integrator's relative tolerance is 1e-9; 1e-6 of the peak is the
+    # bound the benchmark's check holds `ringdown --compare` to
+    assert np.max(np.abs(numeric - exact)) <= 1e-6 * np.max(exact)
+
+
+@PROPERTY
+@given(
+    fraction=st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False),
+    length=st.floats(1e-3, 100.0),
+    effective_index=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+)
+def test_rate_to_mirror_inverts_mirror_to_rate(fraction, length, effective_index):
+    geom = CavityGeometry(length, effective_index)
+    # three roundings each way, at most 2**-53 relative each
+    back = rate_to_mirror(mirror_to_rate(fraction, geom), geom)
+    assert back == pytest.approx(fraction, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 @PROPERTY
