@@ -159,7 +159,7 @@ MODE_SOLVE = {
         "n_clad": Field(NUMBER),
     },
     "cavity": {
-        "length_m": Field(NUMBER, 0.33, minimum=0.0, attr="length"),
+        "length_m": Field(NUMBER, 0.33, minimum=1e-6, attr="length"),  # ~ one wavelength
         "effective_index": Field(NUMBER, 1.45),
     },
     "atom": {

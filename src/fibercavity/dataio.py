@@ -20,8 +20,8 @@ import tempfile
 import numpy as np
 
 from .estimation import Spectrum
-from .experiment import BLOCK
 from .ringdown import RingdownTrace
+from .steady import rows_per_block
 from .units import TWO_PI_MHZ
 
 SPECTRUM_HEADER = ("delta_two_pi_mhz", "transmission_normalized")
@@ -196,7 +196,7 @@ def detuning_keys(detunings) -> list:
 
 
 def _event_blocks(ensemble):
-    """The events.jsonl text of each ``BLOCK`` of sequences, in order.
+    """The events.jsonl text of each block of ``rows_per_block`` sequences, in order.
 
     Each line is what ``json.dumps(..., sort_keys=True)`` writes for the
     sequence's record: one %-template per grid holds the sorted keys, with
@@ -230,7 +230,8 @@ def _event_blocks(ensemble):
             for present, detection, level, g, value, row, survived in columns
         )
 
-    return (block(slice(i, i + BLOCK)) for i in range(0, len(ensemble), BLOCK))
+    step = rows_per_block(len(keys))
+    return (block(slice(i, i + step)) for i in range(0, len(ensemble), step))
 
 
 def events_to_jsonl(ensemble) -> str:
@@ -240,7 +241,7 @@ def events_to_jsonl(ensemble) -> str:
 
 
 def write_events_jsonl(path, ensemble):
-    """Write events.jsonl atomically, one ``BLOCK`` of sequences at a time."""
+    """Write events.jsonl atomically, one block of sequences at a time."""
     blocks = _event_blocks(ensemble)
     with _atomic_open(path) as handle:
         handle.writelines(blocks)

@@ -402,8 +402,11 @@ def fit_rabi_g(
         # Coarse deterministic scan over the bounded g range; the 1-d cost
         # landscape has plateaus at large g where a bad start would stall.
         candidates = np.linspace(0.0, RABI_G_UPPER_BOUND, 201)
-        curves = model(spectrum.deltas, [candidates[:, None]])
-        costs = np.sum((curves - spectrum.values) ** 2, axis=1)
+        step = steady.rows_per_block(len(spectrum))
+        costs = np.concatenate([
+            np.sum((model(spectrum.deltas, [block[:, None]]) - spectrum.values) ** 2, axis=1)
+            for block in np.split(candidates, range(step, candidates.size, step))
+        ])
         initial = float(candidates[int(np.argmin(costs))])
     return fit_least_squares(
         model,

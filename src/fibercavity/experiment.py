@@ -202,10 +202,6 @@ def sequence_rng(base_seed: int, index: int) -> np.random.Generator:
     )
 
 
-# Sequences simulated, written and normalized together; it bounds the
-# transients of run_ensemble and of the events.jsonl writer.
-BLOCK = 256
-
 # numpy's Poisson sampler refuses a mean above 9.223372006484771e18; the
 # limit sits below it by more than the rounding of the bound it is held to.
 POISSON_MEAN_LIMIT = 9.2e18
@@ -281,8 +277,8 @@ def run_ensemble(
     background, by the gain 1 + normalization_drift * i: its mean count rate
     is gain * empty_cavity_signal_rate * normalized_transmission + background.
     Normalization divides by the same empty-cavity signal, so values compare
-    across sequences. Sequences run in blocks of ``BLOCK``, which bounds the
-    transients to one block's rates. ``check_ensemble`` runs first.
+    across sequences. Sequences run in blocks of ``steady.rows_per_block``
+    rows, which bounds the transients to one block. ``check_ensemble`` runs first.
     """
     check_ensemble(system, config, n_sequences)
     spec, det = config.spectroscopy, config.detection
@@ -299,8 +295,9 @@ def run_ensemble(
     detection_counts = np.empty(n, dtype=int)
     survived = np.empty(n, dtype=bool)
     counts = np.empty((n, detunings.size), dtype=int)
-    for start in range(0, n, BLOCK):
-        block = slice(start, min(start + BLOCK, n))
+    step = steady.rows_per_block(detunings.size)
+    for start in range(0, n, step):
+        block = slice(start, min(start + step, n))
         rngs = [sequence_rng(base_seed, i) for i in range(block.start, block.stop)]
         gain = gains[block]
 
@@ -342,26 +339,39 @@ def accumulate_spectra(ensemble: Ensemble, system: SystemParams, config: Sequenc
 
     Counts are background-subtracted and normalized by the expected
     empty-cavity on-resonance spectroscopy signal. Levels with no events are
-    absent from the returned mapping (not zero spectra). Only one level's
-    rows are normalized at a time.
+    absent from the returned mapping (not zero spectra). Two passes over each
+    level, a block of rows at a time, add its rows in numpy's mean/std order.
     """
     spec = config.spectroscopy
     signal = empty_cavity_signal_rate(system, spec, config.detector_efficiency)
+    width = ensemble.detunings.size
+    # numpy sums a single column pairwise, not row by row: one block
+    step = steady.rows_per_block(width) if width > 1 else len(ensemble)
+
+    def normalized(rows):
+        counts = ensemble.spectroscopy_counts[rows]
+        return _normalized_counts(counts, spec.duration, config.background_rate, signal)
+
     spectra = {}
     for level in np.unique(ensemble.level).tolist():
-        rows = _normalized_counts(
-            ensemble.spectroscopy_counts[ensemble.level == level],
-            spec.duration, config.background_rate, signal,
-        )
-        if rows.shape[0] > 1:
-            sem = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+        index = np.flatnonzero(ensemble.level == level)
+        blocks, n = np.split(index, range(step, index.size, step)), index.size
+        mean = _sum_rows(map(normalized, blocks)) / n
+        sem = None
+        if n > 1:
+            squares = _sum_rows(np.square(normalized(rows) - mean) for rows in blocks)
+            sem = np.sqrt(squares / (n - 1)) / math.sqrt(n)
             sem = np.where(sem > 0.0, sem, np.finfo(float).tiny)
-        else:
-            sem = None
-        spectra[level] = Spectrum(
-            deltas=ensemble.detunings, values=rows.mean(axis=0), sigmas=sem
-        )
+        spectra[level] = Spectrum(deltas=ensemble.detunings, values=mean, sigmas=sem)
     return spectra
+
+
+def _sum_rows(blocks):
+    """``np.add.reduce(np.concatenate(blocks), axis=0)``, rows added in that order."""
+    total = np.add.reduce(next(blocks), axis=0)
+    for rows in blocks:  # the running total rides as row 0 of the next block
+        total = np.add.reduce(np.concatenate((total[None], rows)), axis=0)
+    return total
 
 
 def level_occupancy(ensemble: Ensemble) -> dict:

@@ -62,6 +62,17 @@ class NormalModes:
         return self.plus_detuning - self.minus_detuning
 
 
+# Row x detuning tables are handled a block of rows at a time: at most BLOCK_COUNTS
+# entries, and BLOCK_ROWS rows, as each simulated row also holds a 2.5 kB stream.
+BLOCK_COUNTS = 2**14
+BLOCK_ROWS = 256
+
+
+def rows_per_block(width: int) -> int:
+    """Rows of a table ``width`` entries wide that one block holds (at least 1)."""
+    return max(1, min(BLOCK_ROWS, BLOCK_COUNTS // max(width, 1)))
+
+
 def transmission(params: SystemParams, delta, g=None):
     """Absolute steady-state transmission T(Delta); scalar or ndarray delta.
 

@@ -235,6 +235,26 @@ def test_mode_solve_beyond_double_precision_is_numeric_failure(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length_m", [2.2250738585072014e-308, 9.99e-7])
+@pytest.mark.parametrize("extra", [[], ["--dump-config"]])
+def test_mode_solve_rejects_a_cavity_shorter_than_a_micrometre(tmp_path, capsys, length_m, extra):
+    # at 2.2e-308 m, 2 hbar eps0 V underflows to 0 in coupling_rate
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cavity": {"length_m": length_m}}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out), *extra) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: /cavity/length_m: ")
+    assert not out.exists()
+
+
+def test_mode_solve_accepts_a_one_micrometre_cavity(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cavity": {"length_m": 1e-6}}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    assert json.loads((out / "mode_solution.json").read_text())["g_est"]["value"] > 0.0
+
+
 @pytest.fixture
 def workloads(monkeypatch):
     """The benchmark's workload builder, loaded from bench/ for one test."""

@@ -26,7 +26,8 @@ from fibercavity import (
 )
 from fibercavity import experiment
 from fibercavity.dataio import DataFormatError, events_to_jsonl, write_events_jsonl
-from fibercavity.experiment import BLOCK, _load, empty_cavity_signal_rate, sequence_rng
+from fibercavity.experiment import _load, empty_cavity_signal_rate, sequence_rng
+from fibercavity.steady import rows_per_block
 
 TW = from_two_pi_mhz(1.0)
 
@@ -422,12 +423,15 @@ def test_sequences_across_block_edges_match_a_longer_run(measured_params):
     config = make_config(
         load_probability=0.5, poisson_loading=True, hold_time=5e-3, normalization_drift=1e-4
     )
-    detunings = np.array([-10.0, 0.0, 10.0]) * TW
-    long = run_ensemble(measured_params, config, detunings, 600, base_seed=41)
-    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
-        short = run_ensemble(measured_params, config, detunings, n, base_seed=41)
-        assert len(short) == n
-        assert_same_ensemble(short, long, n)
+    for points in (3, 1001):
+        detunings = np.linspace(-10.0, 10.0, points) * TW
+        block = rows_per_block(points)
+        assert 2 * block + 1 < 600  # every run from n = 2 * block + 1 on crosses two edges
+        long = run_ensemble(measured_params, config, detunings, 600, base_seed=41)
+        for n in (block - 1, block, block + 1, 2 * block + 1):
+            short = run_ensemble(measured_params, config, detunings, n, base_seed=41)
+            assert len(short) == n
+            assert_same_ensemble(short, long, n)
 
 
 def test_events_writer_refuses_non_finite_values(measured_params, tmp_path):
