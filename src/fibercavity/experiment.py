@@ -16,11 +16,14 @@ the single-excitation collective coupling sqrt(sum g_i^2).
 
 Sequences are independent given per-sequence RNG streams derived from
 (seed, sequence index); ensembles can run in parallel and merge
-deterministically by index.
+deterministically by index. ``sequence_rng`` is the reference stream of
+sequence i; ``run_ensemble`` replays numpy's seeding of it for a whole block
+of indices at once, and draws the same numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,10 +199,123 @@ def _normalized_counts(counts, duration, background_rate, signal_rate):
 
 
 def sequence_rng(base_seed: int, index: int) -> np.random.Generator:
-    """Per-sequence RNG stream derived from (seed, sequence index)."""
+    """Per-sequence RNG stream derived from (seed, sequence index).
+
+    The reference stream of sequence ``index``: ``run_ensemble`` builds the same
+    streams a block at a time through ``_sequence_streams``, which replays the
+    seeding done here.
+    """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(index),))
     )
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx, after the seed_seq hash
+# mix of O'Neill's PCG paper): pool size, hash constants and shift, on uint32 words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """numpy's hashmix of uint32 words, a Python int or a uint32 array:
+    (mixed value, next hash constant)."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> _XSHIFT, hash_const
+
+
+def _mix(x, y):
+    """numpy's mix of two uint32 words (Python ints or uint32 arrays)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _mix_word(pool: list, word, hash_const: int) -> int:
+    """Mix one entropy word past the first four into every pool entry, in place;
+    return the next hash constant."""
+    for dst in range(_POOL_SIZE):
+        mixed, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool[dst] = _mix(pool[dst], mixed)
+    return hash_const
+
+
+def _stream_words(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of the streams ``sequence_rng(base_seed, i)``, i in [start, stop).
+
+    Row i - start of the (stop - start, 4) uint64 result equals
+    ``SeedSequence(base_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
+    The seed's uint32 words, zero-padded to the pool size, fill the pool once
+    in Python ints; the one or two uint32 words of each index (two from 2**32
+    on) then mix in as uint32 arrays.
+    """
+    seed = int(base_seed)
+    if seed < 0:
+        raise ValueError("base_seed must be non-negative")
+    entropy = [seed & _MASK32]  # least significant word first; seed 0 has one word
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+
+    pool, hash_const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        mixed, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], mixed)
+    for word in entropy[_POOL_SIZE:]:
+        hash_const = _mix_word(pool, word, hash_const)
+
+    index = np.arange(start, stop, dtype=np.uint64)
+    pool = [np.full(index.size, word, dtype=np.uint32) for word in pool]
+    hash_const = _mix_word(pool, (index & _MASK32).astype(np.uint32), hash_const)
+    high = (index >> 32).astype(np.uint32)
+    if high.any():
+        wide = pool.copy()
+        _mix_word(wide, high, hash_const)
+        pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+
+    state = np.empty((index.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for dst in range(2 * _POOL_SIZE):
+        state[:, dst], hash_const = _hashmix(pool[dst % _POOL_SIZE], hash_const, _MULT_B)
+    # as numpy does: pairs of words read little-endian, then in native order
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A numpy ``ISeedSequence`` that hands ``PCG64`` one row of ``_stream_words``.
+
+    ``PCG64`` asks its seed sequence for ``generate_state(4, np.uint64)`` and
+    runs its own seeding step on the answer in C. numpy.random loads here, on
+    the first ensemble, not on ``import fibercavity``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _sequence_streams(base_seed: int, start: int, stop: int) -> list:
+    """The streams ``sequence_rng(base_seed, i)`` for i in [start, stop), in one replay."""
+    from numpy.random import PCG64, Generator
+
+    seed_words = _seed_words_type()
+    return [Generator(PCG64(seed_words(row))) for row in _stream_words(base_seed, start, stop)]
 
 
 # numpy's Poisson sampler refuses a mean above 9.223372006484771e18; the
@@ -268,9 +384,10 @@ def run_ensemble(
 ) -> Ensemble:
     """Simulate n_sequences independent sequences, ordered by index.
 
-    Sequence i draws from its own stream ``sequence_rng(base_seed, i)``, in
-    this order: loading, coupling phase(s), detection counts, survival (only
-    when an atom is present), spectroscopy counts. So the output is
+    Sequence i draws from its own stream ``sequence_rng(base_seed, i)``, which
+    ``_sequence_streams`` rebuilds for a whole block at once, in this order:
+    loading, coupling phase(s), detection counts, survival (only when an atom
+    is present), spectroscopy counts. So the output is
     deterministic, and sequence i does not depend on how many others run. Each
     sequence replaces the g of ``system`` with its local coupling (zero for
     spectroscopy once the atom is lost) and scales the signal, not the
@@ -298,7 +415,7 @@ def run_ensemble(
     step = steady.rows_per_block(detunings.size)
     for start in range(0, n, step):
         block = slice(start, min(start + step, n))
-        rngs = [sequence_rng(base_seed, i) for i in range(block.start, block.stop)]
+        rngs = _sequence_streams(base_seed, block.start, block.stop)
         gain = gains[block]
 
         loaded = np.array([_load(config, rng) for rng in rngs], dtype=float)

@@ -364,15 +364,17 @@ def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> An
     """Atom-cavity coupling g = sqrt(mu^2 w / (2 hbar eps0 V)) * phi.
 
     phi is the local mode amplitude in the max = 1 normalization; phi = 1
-    gives the antinode (maximum) coupling.
+    gives the antinode (maximum) coupling. A volume so small that
+    2 hbar eps0 V underflows to zero, or a g that overflows, is refused.
     """
     if not mode_volume_m3 > 0.0:
         raise ParameterError("mode volume must be positive")
     if not 0.0 <= phi <= 1.0:
         raise ParameterError("phi must lie in [0, 1]")
-    g_max = math.sqrt(
-        atom.dipole_moment**2
-        * atom.transition_angular_frequency
-        / (2.0 * HBAR * EPSILON_0 * mode_volume_m3)
-    )
+    denominator = 2.0 * HBAR * EPSILON_0 * mode_volume_m3
+    if not denominator > 0.0:
+        raise ParameterError(f"mode volume {mode_volume_m3:.4g} m^3 underflows 2 hbar eps0 V")
+    g_max = math.sqrt(atom.dipole_moment**2 * atom.transition_angular_frequency / denominator)
+    if not math.isfinite(g_max):
+        raise ParameterError("coupling rate overflows")
     return AngularRate(g_max * phi)

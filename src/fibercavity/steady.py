@@ -63,7 +63,7 @@ class NormalModes:
 
 
 # Row x detuning tables are handled a block of rows at a time: at most BLOCK_COUNTS
-# entries, and BLOCK_ROWS rows, as each simulated row also holds a 2.5 kB stream.
+# entries, and BLOCK_ROWS rows, as each simulated row also holds a 0.8 kB stream.
 BLOCK_COUNTS = 2**14
 BLOCK_ROWS = 256
 

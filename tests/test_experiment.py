@@ -26,7 +26,7 @@ from fibercavity import (
 )
 from fibercavity import experiment
 from fibercavity.dataio import DataFormatError, events_to_jsonl, write_events_jsonl
-from fibercavity.experiment import _load, empty_cavity_signal_rate, sequence_rng
+from fibercavity.experiment import _load, _stream_words, empty_cavity_signal_rate, sequence_rng
 from fibercavity.steady import rows_per_block
 
 TW = from_two_pi_mhz(1.0)
@@ -330,7 +330,7 @@ def test_mean_count_beyond_the_poisson_sampler_is_rejected_before_drawing(
     def no_draws(*args):
         raise AssertionError("drew before checking the mean counts")
 
-    monkeypatch.setattr(experiment, "sequence_rng", no_draws)
+    monkeypatch.setattr(experiment, "_sequence_streams", no_draws)
     config = make_config(**{probe: ProbeConfig(power=1e3, duration=1e3)})
     with pytest.raises(ParameterError, match="Poisson mean") as caught:
         run_ensemble(measured_params, config, np.array([0.0]), 3, base_seed=1)
@@ -356,6 +356,23 @@ def test_largest_mean_count_reaches_its_bound_and_draws(measured_params):
     with pytest.raises(ParameterError) as caught:
         experiment.check_ensemble(system, over, 3)
     assert caught.value.field == "spectroscopy"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 1])
+def test_stream_words_replay_numpy_seed_sequence(seed):
+    # one- to five-word seeds; indices from 2**32 on spawn from two words
+    indices = [0, 1, 255, 256, 2**32 - 1, 2**32]
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+        for i in indices
+    ]
+    replayed = [_stream_words(seed, i, i + 1)[0] for i in indices]
+    np.testing.assert_array_equal(replayed, expected, strict=True)
+    across = _stream_words(seed, 2**32 - 2, 2**32 + 2)
+    np.testing.assert_array_equal(across[1:3], expected[-2:], strict=True)
+    assert across.dtype == np.uint64 and across.shape == (4, 4)
+    with pytest.raises(ValueError):
+        _stream_words(-1, 0, 1)
 
 
 def reference_ensemble(system, config, detunings, n, seed):
@@ -406,7 +423,7 @@ def assert_same_ensemble(actual, expected, n=None):
 
 
 @pytest.mark.parametrize("poisson_loading", [False, True])
-@pytest.mark.parametrize("seed", [5, 2**32 - 1, 2**32, 2**40 + 3])
+@pytest.mark.parametrize("seed", [5, 2**32 - 1, 2**32, 2**40 + 3, 0, 7, 2**130 + 1])
 def test_run_ensemble_matches_the_per_sequence_reference(measured_params, seed, poisson_loading):
     config = make_config(
         load_probability=0.5, poisson_loading=poisson_loading, hold_time=5e-3,

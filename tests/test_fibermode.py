@@ -161,6 +161,14 @@ def test_coupling_rate_scalings():
         coupling_rate(atom, 1.0, phi=1.5)
 
 
+def test_coupling_rate_refuses_an_underflowing_volume_and_an_overflowing_g():
+    atom = cs_d2_atom()
+    with pytest.raises(ParameterError, match="underflows"):
+        coupling_rate(atom, 1e-300)
+    with pytest.raises(ParameterError, match="overflows"):
+        coupling_rate(AtomSpec(1e150, atom.transition_angular_frequency), 1e-12)
+
+
 def test_coupling_rate_formula():
     atom = cs_d2_atom()
     volume = 3.3e-12

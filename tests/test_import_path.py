@@ -1,10 +1,10 @@
 """scipy stays off the import path of the CLI and of the subcommands that
-never call it.
+never call it, and numpy.random off the import path of the CLI.
 
 Each check runs in a fresh interpreter, because other test modules import
 scipy into this one. The child calls ``fibercavity.cli.main`` step by step
-and appends, after each step, its exit code and the scipy modules loaded so
-far to ``steps.jsonl``.
+and appends, after each step, its exit code and the scipy and numpy.random
+modules loaded so far to ``steps.jsonl``.
 """
 
 import json
@@ -23,10 +23,14 @@ from fibercavity.estimation import Spectrum
 CHILD = """
 import json, sys
 
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
 def record(name, code):
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    step = {"step": name, "exit": code, "scipy": loaded("scipy"),
+            "numpy.random": loaded("numpy.random")}
     with open("steps.jsonl", "a") as handle:
-        handle.write(json.dumps({"step": name, "exit": code, "scipy": loaded}) + "\\n")
+        handle.write(json.dumps(step) + "\\n")
 
 from fibercavity.cli import main
 record("import fibercavity.cli", 0)
@@ -91,3 +95,10 @@ def test_scipy_is_imported_only_by_the_subcommands_that_call_it(tmp_path):
     assert imported["scipy"] == []
     assert solved["exit"] == 0
     assert {"scipy.special", "scipy.optimize", "scipy.integrate"} <= set(solved["scipy"])
+
+
+def test_numpy_random_loads_on_the_first_ensemble_not_on_import(tmp_path):
+    [imported, experiment] = run_steps(tmp_path, [SCIPY_FREE_STEPS[-1]])
+    assert imported["numpy.random"] == []
+    assert experiment["exit"] == 0
+    assert "numpy.random" in experiment["numpy.random"]
