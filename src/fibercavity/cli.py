@@ -23,7 +23,6 @@ import dataclasses
 import json
 import math
 import os
-import secrets
 import sys
 import time
 import warnings
@@ -110,7 +109,8 @@ def _probe(power_w: float, duration_s: float) -> dict:
     }
 
 
-SEED = Field(INTEGER, lambda: secrets.randbits(32), minimum=0, flag="seed")
+# os.urandom, as secrets.randbits draws, without the hashlib/OpenSSL import of secrets
+SEED = Field(INTEGER, lambda: int.from_bytes(os.urandom(4), "little"), minimum=0, flag="seed")
 SYSTEM = _rates(kappa1=0.12, kappa2=3.08, kappa_loss=3.2, gamma=2.6, g=7.8, cavity_detuning=0.0)
 SPECTRUM = {
     "system": SYSTEM,

@@ -126,7 +126,8 @@ class Ensemble:
     normalized_detection: np.ndarray  # (n,)
     level: np.ndarray  # (n,) int, 1..6
     survived_hold: np.ndarray  # (n,) bool
-    spectroscopy_counts: np.ndarray  # (n, k) int
+    # (n, k) int32, or int64 when a spectroscopy mean may exceed INT32_MEAN_LIMIT
+    spectroscopy_counts: np.ndarray
 
     def __len__(self) -> int:
         return self.level.size
@@ -321,6 +322,10 @@ def _sequence_streams(base_seed: int, start: int, stop: int) -> list:
 # numpy's Poisson sampler refuses a mean above 9.223372006484771e18; the
 # limit sits below it by more than the rounding of the bound it is held to.
 POISSON_MEAN_LIMIT = 9.2e18
+# The spectroscopy count table is int32 while no mean exceeds this. A count
+# beyond 2**31 - 1 would then need a draw of at least twice its mean, about
+# 32768 standard deviations above it (numpy's own Poisson limit keeps 10).
+INT32_MEAN_LIMIT = 2.0**30
 
 
 def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float]:
@@ -334,8 +339,9 @@ def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float
     return present, sample_local_g(config.g_max, rng) if present else 0.0
 
 
-def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: int):
-    """Reject, before anything is drawn, an ensemble run_ensemble cannot simulate.
+def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: int) -> float:
+    """Reject, before anything is drawn, an ensemble run_ensemble cannot simulate;
+    return the bound on its spectroscopy mean counts (0 with no sequences).
 
     The signal gain 1 + normalization_drift * i must stay positive for every
     sequence i, and no probe's mean count may exceed POISSON_MEAN_LIMIT. The
@@ -350,7 +356,7 @@ def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: in
     if n_sequences < 0:
         raise ParameterError("n_sequences must be non-negative")
     if not n_sequences:
-        return
+        return 0.0
     last_gain = 1.0 + config.normalization_drift * (n_sequences - 1)
     if not last_gain > 0.0:
         raise ParameterError(
@@ -358,10 +364,11 @@ def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: in
             field="normalization_drift",
         )
     peak = max(last_gain, 1.0) * (1.0 + (system.cavity_detuning / system.kappa) ** 2)
+    means = {}
     for name in ("detection", "spectroscopy"):
         probe = getattr(config, name)
         signal = empty_cavity_signal_rate(system, probe, config.detector_efficiency)
-        mean = (peak * signal + config.background_rate) * probe.duration
+        means[name] = mean = (peak * signal + config.background_rate) * probe.duration
         if not mean <= POISSON_MEAN_LIMIT:
             raise ParameterError(
                 f"mean count up to {mean:.4g} exceeds {POISSON_MEAN_LIMIT:.4g}, "
@@ -373,6 +380,7 @@ def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: in
                 f"an empty-cavity signal of {signal:.4g} counts/s normalizes counts beyond 1e100",
                 field=name,
             )
+    return means["spectroscopy"]
 
 
 def run_ensemble(
@@ -395,9 +403,11 @@ def run_ensemble(
     is gain * empty_cavity_signal_rate * normalized_transmission + background.
     Normalization divides by the same empty-cavity signal, so values compare
     across sequences. Sequences run in blocks of ``steady.rows_per_block``
-    rows, which bounds the transients to one block. ``check_ensemble`` runs first.
+    rows, which bounds the transients to one block. ``check_ensemble`` runs
+    first; the spectroscopy counts are int32 when its mean-count bound is at
+    most INT32_MEAN_LIMIT, int64 otherwise.
     """
-    check_ensemble(system, config, n_sequences)
+    spec_mean_bound = check_ensemble(system, config, n_sequences)
     spec, det = config.spectroscopy, config.detection
     n = int(n_sequences)
     gains = 1.0 + config.normalization_drift * np.arange(n)
@@ -411,7 +421,8 @@ def run_ensemble(
     local_g = np.empty(n)
     detection_counts = np.empty(n, dtype=int)
     survived = np.empty(n, dtype=bool)
-    counts = np.empty((n, detunings.size), dtype=int)
+    count_type = np.int32 if spec_mean_bound <= INT32_MEAN_LIMIT else np.int64
+    counts = np.empty((n, detunings.size), dtype=count_type)
     step = steady.rows_per_block(detunings.size)
     for start in range(0, n, step):
         block = slice(start, min(start + step, n))
@@ -470,7 +481,8 @@ def accumulate_spectra(ensemble: Ensemble, system: SystemParams, config: Sequenc
         return _normalized_counts(counts, spec.duration, config.background_rate, signal)
 
     spectra = {}
-    for level in np.unique(ensemble.level).tolist():
+    # bincount, not np.unique, which loads numpy.ma
+    for level in np.flatnonzero(np.bincount(ensemble.level)).tolist():
         index = np.flatnonzero(ensemble.level == level)
         blocks, n = np.split(index, range(step, index.size, step)), index.size
         mean = _sum_rows(map(normalized, blocks)) / n

@@ -351,11 +351,47 @@ def test_largest_mean_count_reaches_its_bound_and_draws(measured_params):
     config = make_config(load_probability=0.0, normalization_drift=0.5,
                          spectroscopy=ProbeConfig(power=power, duration=1.0))
     ensemble = run_ensemble(system, config, detunings, 3, base_seed=5)
+    assert ensemble.spectroscopy_counts.dtype == np.int64  # int32 would wrap these counts
     assert ensemble.spectroscopy_counts[2, 2] > 0.998 * experiment.POISSON_MEAN_LIMIT
     over = dataclasses.replace(config, spectroscopy=ProbeConfig(power=1.01 * power, duration=1.0))
     with pytest.raises(ParameterError) as caught:
         experiment.check_ensemble(system, over, 3)
     assert caught.value.field == "spectroscopy"
+
+
+def test_bench_sized_counts_are_int32(measured_params):
+    # the ensemble-wide workload of bench/: 2000 sequences on 1001 points
+    config = make_config(load_probability=0.5, poisson_loading=True, hold_time=5e-3)
+    detunings = np.linspace(-25.0, 25.0, 1001) * TW
+    counts = run_ensemble(measured_params, config, detunings, 2000, base_seed=3).spectroscopy_counts
+    assert counts.dtype == np.int32 and counts.nbytes == 4 * 2000 * 1001
+
+
+@pytest.mark.parametrize("above, dtype", [(False, np.int32), (True, np.int64)])
+def test_count_dtype_switches_at_the_int32_mean_limit(measured_params, above, dtype):
+    # the last probe power whose mean-count bound stays within 2**30, or the next one
+    system = dataclasses.replace(measured_params, cavity_detuning=4.0 * TW)
+    limit = experiment.INT32_MEAN_LIMIT
+    signal = empty_cavity_signal_rate(system, ProbeConfig(power=1.0, duration=1.0), 0.5)
+    peak = 1.0 + (system.cavity_detuning / system.kappa) ** 2
+
+    def config_at(power):
+        spectroscopy = ProbeConfig(power=power, duration=1.0)
+        return make_config(load_probability=0.0, spectroscopy=spectroscopy)
+
+    power = (limit - 1e4) / (peak * signal)
+    while experiment.check_ensemble(system, config_at(power), 3) > limit:
+        power = np.nextafter(power, 0.0)
+    while experiment.check_ensemble(system, config_at(np.nextafter(power, np.inf)), 3) <= limit:
+        power = np.nextafter(power, np.inf)
+    if above:
+        power = np.nextafter(power, np.inf)
+    assert (experiment.check_ensemble(system, config_at(power), 3) > limit) == above
+    # an empty cavity probed at the cavity detuning has the largest mean
+    ensemble = run_ensemble(system, config_at(power), np.array([-4.0, 4.0]) * TW, 3, base_seed=9)
+    counts = ensemble.spectroscopy_counts
+    assert counts.dtype == dtype
+    assert np.all(np.abs(counts[:, 1] / limit - 1.0) < 1e-3)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 1])
@@ -407,7 +443,8 @@ def reference_ensemble(system, config, detunings, n, seed):
         normalized_detection=normalized,
         level=classify_level(normalized, config.bin_edges),
         survived_hold=survived,
-        spectroscopy_counts=np.array(counts, dtype=int).reshape(n, detunings.size),
+        # int32, as the mean-count bound of every config given here allows
+        spectroscopy_counts=np.array(counts, dtype=np.int32).reshape(n, detunings.size),
     )
 
 

@@ -1,10 +1,13 @@
 """scipy stays off the import path of the CLI and of the subcommands that
-never call it, and numpy.random off the import path of the CLI.
+never call it, numpy.random off the import path of the CLI, numpy.ma off
+every subcommand that does without scipy, and hashlib (which loads OpenSSL)
+off the CLI import and the subcommands that load neither scipy nor
+numpy.random.
 
 Each check runs in a fresh interpreter, because other test modules import
 scipy into this one. The child calls ``fibercavity.cli.main`` step by step
-and appends, after each step, its exit code and the scipy and numpy.random
-modules loaded so far to ``steps.jsonl``.
+and appends, after each step, its exit code and the scipy, numpy.random,
+numpy.ma and hashlib modules loaded so far to ``steps.jsonl``.
 """
 
 import json
@@ -14,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fibercavity
 from fibercavity import from_two_pi_mhz
@@ -28,7 +32,8 @@ def loaded(package):
 
 def record(name, code):
     step = {"step": name, "exit": code, "scipy": loaded("scipy"),
-            "numpy.random": loaded("numpy.random")}
+            "numpy.random": loaded("numpy.random"), "numpy.ma": loaded("numpy.ma"),
+            "hashlib": loaded("hashlib")}
     with open("steps.jsonl", "a") as handle:
         handle.write(json.dumps(step) + "\\n")
 
@@ -72,16 +77,19 @@ def run_steps(workdir, steps):
     return records
 
 
-def test_scipy_is_imported_only_by_the_subcommands_that_call_it(tmp_path):
-    work = tmp_path / "session"
-    work.mkdir()
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    """The records of the CLI import, SCIPY_FREE_STEPS and a ``ringdown --compare``."""
+    work = tmp_path_factory.mktemp("session")
     (work / "fixed.json").write_text(json.dumps({"g": {"value": 0.0, "unit": "two_pi_mhz"}}))
     times_ms = np.linspace(0.0, 50.0, 12)
     recovery = Spectrum(times_ms * from_two_pi_mhz(1.0), 1.0 - 0.85 * np.exp(-times_ms / 11.0))
     (work / "recovery.csv").write_text(spectrum_to_csv(recovery))
     compare_step = ["ringdown", "--out", "rd-compare", "--seed", "1", "--compare"]
+    return run_steps(work, [*SCIPY_FREE_STEPS, compare_step])
 
-    session = run_steps(work, [*SCIPY_FREE_STEPS, compare_step])
+
+def test_scipy_is_imported_only_by_the_subcommands_that_call_it(session, tmp_path):
     for record in session[:-1]:
         assert record["exit"] == 0, record["step"]
         assert record["scipy"] == [], f"{record['step']} loaded {record['scipy'][:5]}"
@@ -89,9 +97,7 @@ def test_scipy_is_imported_only_by_the_subcommands_that_call_it(tmp_path):
     assert compare["exit"] == 0
     assert "scipy.integrate" in compare["scipy"]
 
-    fresh = tmp_path / "mode"
-    fresh.mkdir()
-    [imported, solved] = run_steps(fresh, [["mode-solve", "--out", "ms", "--seed", "1"]])
+    [imported, solved] = run_steps(tmp_path, [["mode-solve", "--out", "ms", "--seed", "1"]])
     assert imported["scipy"] == []
     assert solved["exit"] == 0
     assert {"scipy.special", "scipy.optimize", "scipy.integrate"} <= set(solved["scipy"])
@@ -102,3 +108,15 @@ def test_numpy_random_loads_on_the_first_ensemble_not_on_import(tmp_path):
     assert imported["numpy.random"] == []
     assert experiment["exit"] == 0
     assert "numpy.random" in experiment["numpy.random"]
+
+
+def test_numpy_ma_and_hashlib_stay_off_the_scipy_free_steps(session):
+    scipy_free = session[:-1]  # the CLI import, then SCIPY_FREE_STEPS
+    assert [record["step"] for record in scipy_free[1:]] == [" ".join(a) for a in SCIPY_FREE_STEPS]
+    for record in scipy_free:
+        assert record["numpy.ma"] == [], record["step"]
+    # the experiment step loads hashlib: numpy.random imports secrets
+    *no_hashlib, experiment = scipy_free
+    assert experiment["step"].startswith("experiment")
+    for record in no_hashlib:
+        assert record["hashlib"] == [], record["step"]
