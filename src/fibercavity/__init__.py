@@ -14,21 +14,14 @@ from .units import (
     CavityGeometry,
     ParameterError,
     SystemParams,
-    format_rate,
     from_two_pi_mhz,
-    fsr,
-    parse_rate,
     two_pi_mhz,
     validate,
 )
 from .steady import (
-    CouplingLabel,
-    CouplingRegime,
     NormalModes,
-    classify_coupling,
     cooperativity,
     empty_cavity_peak_transmission,
-    is_strongly_coupled,
     mirror_to_rate,
     normal_modes,
     normalized_transmission,
@@ -41,10 +34,8 @@ from .ringdown import (
     RingdownParams,
     RingdownTrace,
     analytic_trace,
-    cavity_field_analytic,
     integrate_ringdown,
     kappa_from_lifetime,
-    kappa2_linear_model,
     lifetime_from_kappa,
     reflected_intensity_analytic,
 )
@@ -55,7 +46,6 @@ from .fibermode import (
     NoGuidedModeError,
     coupling_rate,
     cs_d2_atom,
-    gaussian_mode_field_radius,
     mode_volume,
     sellmeier_fused_silica,
     solve_fundamental_mode,

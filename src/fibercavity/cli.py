@@ -332,13 +332,9 @@ def _output(outputs: list, directory: str, name: str) -> str:
     return path
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _report(outputs: list, directory: str, name: str, doc: dict):
     """Write doc as the JSON output ``name`` and echo it to stdout."""
-    text = _json_text(doc)
+    text = dataio.json_text(doc)
     dataio.atomic_write_text(_output(outputs, directory, name), text)
     print(text, end="")
 
@@ -358,7 +354,7 @@ def _transmission_chart(series, title: str) -> str:
 
 
 def _dump_config_and_exit(resolved: dict):
-    print(_json_text(resolved), end="")
+    print(dataio.json_text(resolved), end="")
     return EXIT_OK
 
 
@@ -476,7 +472,7 @@ def _cmd_ringdown(args) -> int:
 
     if summary:
         dataio.atomic_write_text(
-            _output(outputs, args.out, "ringdown_summary.json"), _json_text(summary)
+            _output(outputs, args.out, "ringdown_summary.json"), dataio.json_text(summary)
         )
 
     _write_manifest("ringdown", config, [], outputs, started)
@@ -670,7 +666,7 @@ def _cmd_experiment(args) -> int:
     if args.plot and series:
         svg = _transmission_chart(series, "Per-level normalized spectra")
         dataio.atomic_write_text(_output(outputs, args.out, "spectra_by_level.svg"), svg)
-    dataio.atomic_write_text(_output(outputs, args.out, "summary.json"), _json_text(summary))
+    dataio.atomic_write_text(_output(outputs, args.out, "summary.json"), dataio.json_text(summary))
     _write_manifest("experiment", config, [], outputs, started)
     return EXIT_OK
 

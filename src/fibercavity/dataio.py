@@ -85,6 +85,12 @@ def _atomic_open(path):
         raise
 
 
+def json_text(doc) -> str:
+    """The text of every JSON document written here: sorted keys, two-space
+    indent, no NaN or Infinity, one closing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def atomic_write_text(path, text: str):
     """Write text to path via a temp file and rename (atomic on POSIX)."""
     with _atomic_open(path) as handle:
@@ -234,12 +240,6 @@ def _event_blocks(ensemble):
     return (block(slice(i, i + step)) for i in range(0, len(ensemble), step))
 
 
-def events_to_jsonl(ensemble) -> str:
-    """One JSON object per sequence of an Ensemble, detuning keys in 2pi-MHz
-    form and sorted, as ``json.dumps(..., sort_keys=True)`` orders them."""
-    return "".join(_event_blocks(ensemble))
-
-
 def write_events_jsonl(path, ensemble):
     """Write events.jsonl atomically, one block of sequences at a time."""
     blocks = _event_blocks(ensemble)
@@ -260,22 +260,8 @@ class RunManifest:
     duration_s: float
 
     def to_json(self) -> str:
-        doc = dataclasses.asdict(self)
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        try:
-            return cls(**{field.name: doc[field.name] for field in dataclasses.fields(cls)})
-        except KeyError as exc:
-            raise DataFormatError(f"manifest missing field {exc}") from exc
+        return json_text(dataclasses.asdict(self))
 
 
 def write_manifest(path, manifest: RunManifest):
     atomic_write_text(path, manifest.to_json())
-
-
-def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as handle:
-        return RunManifest.from_json(handle.read())

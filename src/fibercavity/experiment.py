@@ -156,14 +156,22 @@ def expected_count_rate(
     probe: ProbeConfig,
     background_rate: float,
     detector_efficiency: float,
+    detunings=None,
+    g=None,
+    gain=1.0,
 ):
-    """Mean detector count rate for a probe at its detuning, plus background.
+    """Mean detector count rate of a probe, plus background.
 
-    rate = empty_cavity_signal_rate * normalized_transmission(detuning)
-           + background.
+    rate = (gain * empty_cavity_signal_rate) * normalized_transmission + background,
+    at ``detunings`` (the probe's own detuning when None) and with ``g`` in
+    place of ``params.g`` when given. ``detunings``, ``g`` and ``gain``
+    broadcast as in ``steady.transmission``: (n, 1) columns of couplings and
+    gains over a (k,) grid give n rows, each equal bit for bit to the call
+    with that row's scalars.
     """
-    signal = empty_cavity_signal_rate(params, probe, detector_efficiency)
-    return signal * steady.normalized_transmission(params, probe.detuning) + background_rate
+    signal = gain * empty_cavity_signal_rate(params, probe, detector_efficiency)
+    delta = probe.detuning if detunings is None else detunings
+    return signal * steady.normalized_transmission(params, delta, g) + background_rate
 
 
 def empty_cavity_signal_rate(
@@ -400,8 +408,8 @@ def run_ensemble(
     sequence replaces the g of ``system`` with its local coupling (zero for
     spectroscopy once the atom is lost) and scales the signal, not the
     background, by the gain 1 + normalization_drift * i: its mean count rate
-    is gain * empty_cavity_signal_rate * normalized_transmission + background.
-    Normalization divides by the same empty-cavity signal, so values compare
+    is ``expected_count_rate`` with that coupling and gain. Normalization
+    divides by the same empty-cavity signal, so values compare
     across sequences. Sequences run in blocks of ``steady.rows_per_block``
     rows, which bounds the transients to one block. ``check_ensemble`` runs
     first; the spectroscopy counts are int32 when its mean-count bound is at
@@ -413,8 +421,6 @@ def run_ensemble(
     gains = 1.0 + config.normalization_drift * np.arange(n)
     detunings = np.asarray(spectroscopy_detunings, dtype=float)
     efficiency, background = config.detector_efficiency, config.background_rate
-    det_signal = empty_cavity_signal_rate(system, det, efficiency)
-    spec_signal = empty_cavity_signal_rate(system, spec, efficiency)
     survival = math.exp(-config.hold_time / config.trap_lifetime)
 
     atom_present = np.empty(n, dtype=bool)
@@ -432,8 +438,10 @@ def run_ensemble(
         loaded = np.array([_load(config, rng) for rng in rngs], dtype=float)
         atom_present[block], local_g[block] = loaded[:, 0] > 0.0, loaded[:, 1]
 
-        transmitted = steady.normalized_transmission(system, det.detuning, g=local_g[block])
-        means = (gain * det_signal * transmitted + background) * det.duration
+        rates = expected_count_rate(
+            system, det, background, efficiency, g=local_g[block], gain=gain
+        )
+        means = rates * det.duration
         detection_counts[block] = [rng.poisson(mean) for rng, mean in zip(rngs, means)]
         survived[block] = [
             present and rng.random() < survival
@@ -442,11 +450,14 @@ def run_ensemble(
 
         # the lost atom couples no more
         probed_g = np.where(survived[block], local_g[block], 0.0)[:, None]
-        transmitted = steady.normalized_transmission(system, detunings, g=probed_g)
-        means = (gain[:, None] * spec_signal * transmitted + background) * spec.duration
+        rates = expected_count_rate(
+            system, spec, background, efficiency, detunings, g=probed_g, gain=gain[:, None]
+        )
+        means = rates * spec.duration
         for row, rng, mean in zip(counts[block], rngs, means):
             row[:] = rng.poisson(mean)
 
+    det_signal = empty_cavity_signal_rate(system, det, efficiency)
     normalized_detection = _normalized_counts(
         detection_counts, det.duration, background, det_signal
     )

@@ -99,20 +99,6 @@ class RingdownTrace:
         return self.times.size
 
 
-def cavity_field_analytic(params: RingdownParams, t):
-    """Closed-form intracavity amplitude a(t); complex, scalar or ndarray t."""
-    t = np.asarray(t, dtype=float)
-    kappa, kappa_s, s0 = params.kappa, params.kappa_s, params.s0
-    steady = math.sqrt(2.0 * params.kappa2) * s0 / kappa
-    r = kappa / (kappa_s - kappa)
-    after = steady * (
-        (1.0 + r) * np.exp(-kappa * np.maximum(t, 0.0))
-        - r * np.exp(-kappa_s * np.maximum(t, 0.0))
-    )
-    field = np.where(t < 0.0, steady, after).astype(complex)
-    return complex(field) if field.ndim == 0 else field
-
-
 def reflected_field_analytic(params: RingdownParams, t):
     """Closed-form reflected amplitude s_out(t) in the rotating frame."""
     t = np.asarray(t, dtype=float)
@@ -230,20 +216,3 @@ def kappa_from_lifetime(lifetime_s: float) -> float:
     if not lifetime_s > 0.0:
         raise ParameterError("lifetime must be positive")
     return 1.0 / (2.0 * float(lifetime_s))
-
-
-def kappa2_linear_model(temperature_c: float, anchors) -> float:
-    """Linear interpolation of kappa2 versus mirror temperature.
-
-    This is a convenience *model*, not measured physics: the reflection-band
-    edge of a fiber Bragg grating shifts with temperature, so kappa2(T) is
-    monotone over a small range, but no functional form is implied by the
-    device. ``anchors`` is a sequence of (temperature_c, kappa2_rad_s) pairs;
-    interpolation is linear between anchors and clamped outside them.
-    """
-    anchors = sorted((float(t), float(k)) for t, k in anchors)
-    if len(anchors) < 2:
-        raise ParameterError("kappa2 interpolation needs at least two anchors")
-    temps = [t for t, _ in anchors]
-    rates = [k for _, k in anchors]
-    return float(np.interp(temperature_c, temps, rates))

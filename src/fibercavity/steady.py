@@ -16,7 +16,6 @@ detuning grids are embarrassingly parallel.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,20 +23,6 @@ import numpy as np
 
 from .constants import C
 from .units import AngularRate, CavityGeometry, ParameterError, SystemParams
-
-
-class CouplingLabel(enum.Enum):
-    UNDERCOUPLED = "undercoupled"
-    CRITICALLY_COUPLED = "critically_coupled"
-    OVERCOUPLED = "overcoupled"
-
-
-@dataclass(frozen=True)
-class CouplingRegime:
-    """Output-coupling regime with its margin kappa2 - kappa1 - kappa_loss."""
-
-    label: CouplingLabel
-    margin: float  # rad/s
 
 
 @dataclass(frozen=True)
@@ -111,7 +96,8 @@ def empty_cavity_reference(params: SystemParams) -> float:
     underflows, so a caller can reject such params before it computes
     anything.
     """
-    reference = transmission(params, 0.0, g=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the check below reports it
+        reference = transmission(params, 0.0, g=0.0)
     if not reference > 0.0:
         raise ParameterError(
             f"empty-cavity transmission T(0) is {reference}: kappa1 * kappa2 must be > 0, "
@@ -202,27 +188,6 @@ def rate_to_mirror(rate: float, geom: CavityGeometry) -> float:
     return 4.0 * geom.effective_index * geom.length * float(rate) / C
 
 
-def classify_coupling(params: SystemParams) -> CouplingRegime:
-    """Label the output coupling by the sign of kappa2 - (kappa1 + kappa_loss).
-
-    |margin| <= 1e-3 * kappa counts as critically coupled, since exact
-    equality never happens with measured rates.
-    """
-    margin = params.kappa2 - params.kappa1 - params.kappa_loss
-    if abs(margin) <= 1e-3 * params.kappa:
-        label = CouplingLabel.CRITICALLY_COUPLED
-    elif margin < 0.0:
-        label = CouplingLabel.UNDERCOUPLED
-    else:
-        label = CouplingLabel.OVERCOUPLED
-    return CouplingRegime(label=label, margin=margin)
-
-
 def cooperativity(params: SystemParams) -> float:
     """C = g^2 / (2 kappa gamma)."""
     return params.g**2 / (2.0 * params.kappa * params.gamma)
-
-
-def is_strongly_coupled(params: SystemParams) -> bool:
-    """True iff g exceeds both kappa and gamma (strict inequalities)."""
-    return params.g > params.kappa and params.g > params.gamma

@@ -2,9 +2,9 @@
 
 All rates, detunings, and frequencies are stored internally as angular
 frequencies in rad/s; lengths in meters; times in seconds. The lab-notebook
-"2pi x MHz" convention appears only at I/O boundaries (string parsing and
-formatting, JSON documents, CSV columns). Keeping a single internal unit
-eliminates stray factors of 2*pi, the classic failure mode in this domain.
+"2pi x MHz" convention appears only at I/O boundaries (JSON documents, CSV
+columns). Keeping a single internal unit eliminates stray factors of 2*pi,
+the classic failure mode in this domain.
 
 All types here are immutable values and safe to share between threads.
 """
@@ -12,19 +12,11 @@ All types here are immutable values and safe to share between threads.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
-
-from .constants import C
 
 TWO_PI_MHZ = 2.0 * math.pi * 1e6  # rad/s per (2pi x 1 MHz)
 
 _RATE_JSON_UNITS = ("rad_per_s", "two_pi_mhz")
-
-_TWO_PI_MHZ_RE = re.compile(
-    r"^\s*2(?:π|pi)\s*[×x*]\s*([-+0-9.eE]+)\s*MHz\s*$"
-)
-_RAD_PER_S_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*rad/s\s*$")
 
 
 class ParameterError(ValueError):
@@ -42,9 +34,9 @@ class ParameterError(ValueError):
 class AngularRate(float):
     """An angular frequency in rad/s.
 
-    Behaves as a plain float in arithmetic; the class only adds unit-aware
-    constructors and formatters. Decay rates must be non-negative; detunings
-    may be negative. Finiteness is always required.
+    Behaves as a plain float in arithmetic; the class only adds the
+    finiteness check. Decay rates must be non-negative; detunings may be
+    negative.
     """
 
     def __new__(cls, value):
@@ -52,14 +44,6 @@ class AngularRate(float):
         if not math.isfinite(value):
             raise ParameterError(f"angular rate must be finite, got {value!r}")
         return super().__new__(cls, value)
-
-    @classmethod
-    def from_two_pi_mhz(cls, value) -> "AngularRate":
-        return cls(float(value) * TWO_PI_MHZ)
-
-    @property
-    def two_pi_mhz(self) -> float:
-        return float(self) / TWO_PI_MHZ
 
 
 def two_pi_mhz(rate_rad_s: float) -> float:
@@ -70,22 +54,6 @@ def two_pi_mhz(rate_rad_s: float) -> float:
 def from_two_pi_mhz(value_mhz: float) -> float:
     """Convert 2pi x MHz to rad/s."""
     return float(value_mhz) * TWO_PI_MHZ
-
-
-def format_rate(rate_rad_s: float) -> str:
-    """Canonical string form of a rate, e.g. ``2π×6.400 MHz``."""
-    return f"2π×{two_pi_mhz(rate_rad_s):.3f} MHz"
-
-
-def parse_rate(text: str) -> AngularRate:
-    """Parse ``2π×6.4 MHz`` (also ``2pi*6.4 MHz``) or ``4.02e7 rad/s``."""
-    m = _TWO_PI_MHZ_RE.match(text)
-    if m:
-        return AngularRate.from_two_pi_mhz(float(m.group(1)))
-    m = _RAD_PER_S_RE.match(text)
-    if m:
-        return AngularRate(float(m.group(1)))
-    raise ParameterError(f"unrecognized rate string: {text!r}")
 
 
 def rate_to_json(rate_rad_s: float, unit: str = "two_pi_mhz") -> dict:
@@ -103,7 +71,7 @@ def rate_from_json(doc: dict) -> AngularRate:
         raise ParameterError(f"unknown rate unit {unit!r}")
     value = float(doc["value"])
     if unit == "two_pi_mhz":
-        return AngularRate.from_two_pi_mhz(value)
+        return AngularRate(from_two_pi_mhz(value))
     return AngularRate(value)
 
 
@@ -136,33 +104,6 @@ class SystemParams:
 
     def with_g(self, g: float) -> "SystemParams":
         return replace(self, g=g)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa1": rate_to_json(self.kappa1),
-            "kappa2": rate_to_json(self.kappa2),
-            "kappa_loss": rate_to_json(self.kappa_loss),
-            "gamma": rate_to_json(self.gamma),
-            "g": rate_to_json(self.g),
-            "cavity_detuning": rate_to_json(self.cavity_detuning),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SystemParams":
-        required = ("kappa1", "kappa2", "kappa_loss", "gamma", "g")
-        for name in required:
-            if name not in doc:
-                raise ParameterError(f"missing field {name!r} in system params")
-        return cls(
-            kappa1=rate_from_json(doc["kappa1"]),
-            kappa2=rate_from_json(doc["kappa2"]),
-            kappa_loss=rate_from_json(doc["kappa_loss"]),
-            gamma=rate_from_json(doc["gamma"]),
-            g=rate_from_json(doc["g"]),
-            cavity_detuning=rate_from_json(
-                doc.get("cavity_detuning", {"value": 0.0, "unit": "rad_per_s"})
-            ),
-        )
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -197,8 +138,3 @@ class CavityGeometry:
             raise ParameterError("cavity length must be positive")
         if not 1.0 < self.effective_index < 2.0:
             raise ParameterError("effective_index must lie in (1, 2)")
-
-
-def fsr(geom: CavityGeometry) -> AngularRate:
-    """Free spectral range 2*pi*c / (2 n_eff L), as an angular rate."""
-    return AngularRate(2.0 * math.pi * C / (2.0 * geom.effective_index * geom.length))

@@ -1,8 +1,10 @@
+import dataclasses
 import importlib.util
 import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -13,7 +15,7 @@ from fibercavity import SystemParams, from_two_pi_mhz, normalized_transmission
 from fibercavity.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fibercavity.dataio import (
     DataFormatError,
-    read_manifest,
+    RunManifest,
     read_spectrum_csv,
     read_trace_csv,
     spectrum_to_csv,
@@ -29,6 +31,14 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def load_manifest(output) -> dict:
+    """The manifest written beside ``output``; it holds every RunManifest field."""
+    with open(str(output) + ".manifest.json", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    assert set(doc) == {field.name for field in dataclasses.fields(RunManifest)}
+    return doc
+
+
 def test_spectrum_matches_library(tmp_path):
     out = tmp_path / "spec"
     assert run_cli("spectrum", "--out", str(out), "--seed", "1", "--points", "101") == EXIT_OK
@@ -42,9 +52,9 @@ def test_spectrum_matches_library(tmp_path):
         normalized_transmission(params, spectrum.deltas),
         rtol=1e-12,
     )
-    manifest = read_manifest(str(out / "spectrum.csv") + ".manifest.json")
-    assert manifest.subcommand == "spectrum"
-    assert manifest.seed == 1
+    manifest = load_manifest(out / "spectrum.csv")
+    assert manifest["subcommand"] == "spectrum"
+    assert manifest["seed"] == 1
 
 
 def test_spectrum_zero_coupling_is_lorentzian(tmp_path):
@@ -289,13 +299,13 @@ def test_experiment_outputs_and_replay(tmp_path):
     summary = json.loads((out1 / "summary.json").read_text())
     assert sum(summary["level_occupancy"].values()) == 200
 
-    manifest = read_manifest(str(out1 / "events.jsonl") + ".manifest.json")
+    manifest = load_manifest(out1 / "events.jsonl")
     replay_cfg = tmp_path / "replay.json"
-    replay_cfg.write_text(json.dumps(manifest.config))
+    replay_cfg.write_text(json.dumps(manifest["config"]))
     out2 = tmp_path / "e2"
     assert run_cli(
         "experiment", "--config", str(replay_cfg), "--out", str(out2),
-        "--seed", str(manifest.seed),
+        "--seed", str(manifest["seed"]),
     ) == EXIT_OK
     for name in sorted(os.listdir(out1)):
         if name.endswith(".manifest.json"):
@@ -309,9 +319,9 @@ def test_spectrum_manifest_replays_byte_identically(tmp_path):
         "spectrum", "--out", str(out1), "--delta-min-mhz", "-10", "--delta-max-mhz", "10",
         "--points", "5", "--g-list-mhz", "1.3,7.8",
     ) == EXIT_OK
-    manifest = read_manifest(str(out1 / "spectrum_g1.300.csv") + ".manifest.json")
+    manifest = load_manifest(out1 / "spectrum_g1.300.csv")
     replay_cfg = tmp_path / "replay.json"
-    replay_cfg.write_text(json.dumps(manifest.config))
+    replay_cfg.write_text(json.dumps(manifest["config"]))
     out2 = tmp_path / "s2"
     assert run_cli("spectrum", "--config", str(replay_cfg), "--out", str(out2)) == EXIT_OK
     names = sorted(p.name for p in out1.glob("*.csv"))
@@ -334,11 +344,11 @@ def test_experiment_zero_sequences(tmp_path):
 def test_seed_omission_is_recorded_and_replayable(tmp_path):
     out1 = tmp_path / "a"
     assert run_cli("experiment", "--out", str(out1), "--sequences", "50") == EXIT_OK
-    manifest = read_manifest(str(out1 / "events.jsonl") + ".manifest.json")
+    manifest = load_manifest(out1 / "events.jsonl")
     out2 = tmp_path / "b"
     assert run_cli(
         "experiment", "--out", str(out2), "--sequences", "50",
-        "--seed", str(manifest.seed),
+        "--seed", str(manifest["seed"]),
     ) == EXIT_OK
     assert (out1 / "events.jsonl").read_bytes() == (out2 / "events.jsonl").read_bytes()
 
@@ -484,6 +494,27 @@ def test_bad_numbers_rejected_before_running(tmp_path, capsys, subcommand, confi
     assert captured.err.startswith("config error: " + pointer + ": ")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_vanishing_rates_print_only_the_config_error(tmp_path):
+    # T(0) is 0/0 here; numpy's warning about it must not reach stderr
+    tiny = {"value": 1e-300, "unit": "rad_per_s"}
+    system = {name: tiny for name in ("kappa1", "kappa2", "gamma", "kappa_loss")}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"system": system}))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibercavity.cli", "spectrum", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: /system: "), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_flag_and_negative_seed_are_config_errors(tmp_path, capsys):

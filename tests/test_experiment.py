@@ -25,7 +25,7 @@ from fibercavity import (
     transmission_peak_detunings,
 )
 from fibercavity import experiment
-from fibercavity.dataio import DataFormatError, events_to_jsonl, write_events_jsonl
+from fibercavity.dataio import DataFormatError, write_events_jsonl
 from fibercavity.experiment import _load, _stream_words, empty_cavity_signal_rate, sequence_rng
 from fibercavity.steady import rows_per_block
 
@@ -93,6 +93,16 @@ def test_expected_count_rate_composition(measured_params):
         * (4 * measured_params.kappa1 * measured_params.kappa2 / measured_params.kappa**2)
     )
     assert rate == pytest.approx(signal + 1e4, rel=1e-12)
+
+    # (n, 1) couplings and gains over a grid: each row is that row's scalar call, bit for bit
+    grid = np.linspace(-20.0, 20.0, 41) * TW
+    g = np.array([0.0, 1.3, 7.8, 25.0])[:, None] * TW
+    gain = np.array([1.0, 0.75, 1.0 + 3e-4, 2.5])[:, None]
+    rows = expected_count_rate(measured_params, probe, 1e4, 0.5, grid, g, gain)
+    assert rows.shape == (4, grid.size)
+    for row, g_i, gain_i in zip(rows, g[:, 0].tolist(), gain[:, 0].tolist()):
+        scalar = expected_count_rate(measured_params, probe, 1e4, 0.5, grid, g=g_i, gain=gain_i)
+        np.testing.assert_array_equal(row, scalar)
 
 
 def test_classify_level_ordering():
@@ -495,8 +505,5 @@ def test_events_writer_refuses_non_finite_values(measured_params, tmp_path):
         values[1] = math.nan if name == "local_g" else math.inf
         broken = dataclasses.replace(ensemble, **{name: values})
         with pytest.raises(DataFormatError, match=name):
-            events_to_jsonl(broken)
-        path = tmp_path / "events.jsonl"
-        with pytest.raises(DataFormatError):
-            write_events_jsonl(path, broken)
+            write_events_jsonl(tmp_path / "events.jsonl", broken)
         assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,6 @@ from fibercavity import (
     ParameterError,
     coupling_rate,
     cs_d2_atom,
-    gaussian_mode_field_radius,
     mode_volume,
     sellmeier_fused_silica,
     solve_fundamental_mode,
@@ -26,7 +25,7 @@ from fibercavity.constants import (
     EPSILON_0,
     HBAR,
 )
-from fibercavity.fibermode import _dispersion_he11
+from fibercavity.fibermode import _dispersion_he11, gaussian_mode_field_radius
 
 
 def solve_sm800():

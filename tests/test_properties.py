@@ -5,6 +5,8 @@ Derandomized: every run checks the same examples.
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from fibercavity import (
     run_ensemble,
     transmission,
 )
-from fibercavity.dataio import detuning_keys, events_to_jsonl
+from fibercavity.dataio import detuning_keys, write_events_jsonl
 
 TW = from_two_pi_mhz(1.0)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -217,4 +219,8 @@ def test_events_jsonl_is_what_json_dumps_writes(
     local_g[: len(g_values)] = g_values[:n]
     normalized[: len(normalized_values)] = normalized_values[: n]
     ensemble = dataclasses.replace(ensemble, local_g=local_g, normalized_detection=normalized)
-    assert events_to_jsonl(ensemble) == json_dumps_events(ensemble)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "events.jsonl")
+        write_events_jsonl(path, ensemble)
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == json_dumps_events(ensemble)

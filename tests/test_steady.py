@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from fibercavity import (
-    CouplingLabel,
     CavityGeometry,
     ParameterError,
     SystemParams,
-    classify_coupling,
     cooperativity,
     empty_cavity_peak_transmission,
     from_two_pi_mhz,
-    is_strongly_coupled,
     mirror_to_rate,
     normal_modes,
     normalized_transmission,
@@ -191,46 +188,9 @@ def test_mirror_to_rate_linear():
         mirror_to_rate(-0.1, geom)
 
 
-def test_classify_coupling_cases(measured_params, critical_params):
-    assert (
-        classify_coupling(critical_params).label is CouplingLabel.CRITICALLY_COUPLED
-    )
-    over = dataclasses.replace(
-        critical_params, kappa2=2.0 * (critical_params.kappa1 + critical_params.kappa_loss)
-    )
-    assert classify_coupling(over).label is CouplingLabel.OVERCOUPLED
-    under = dataclasses.replace(critical_params, kappa2=from_two_pi_mhz(1.0))
-    assert classify_coupling(under).label is CouplingLabel.UNDERCOUPLED
-
-
-def test_classify_coupling_depends_only_on_margin_sign():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        base = rng.uniform(1e6, 1e8)
-        offset = rng.uniform(1e-5, 0.9) * base
-        under = SystemParams(
-            kappa1=base, kappa2=base - offset, kappa_loss=0.0, gamma=1e6, g=0.0
-        )
-        over = SystemParams(
-            kappa1=base, kappa2=base + offset, kappa_loss=0.0, gamma=1e6, g=0.0
-        )
-        regime_under = classify_coupling(under)
-        regime_over = classify_coupling(over)
-        if abs(regime_under.margin) > 1e-3 * under.kappa:
-            assert regime_under.label is CouplingLabel.UNDERCOUPLED
-        if abs(regime_over.margin) > 1e-3 * over.kappa:
-            assert regime_over.label is CouplingLabel.OVERCOUPLED
-
-
 def test_cooperativity(measured_params):
     assert cooperativity(measured_params.with_g(0.0)) == 0.0
     value = cooperativity(measured_params)
     assert value == pytest.approx(7.8**2 / (2.0 * 6.4 * 2.6), rel=1e-12)
     doubled = cooperativity(measured_params.with_g(2.0 * measured_params.g))
     assert doubled == pytest.approx(4.0 * value, rel=1e-12)
-
-
-def test_is_strongly_coupled(measured_params):
-    assert is_strongly_coupled(measured_params)
-    assert not is_strongly_coupled(measured_params.with_g(measured_params.kappa))
-    assert is_strongly_coupled(measured_params.with_g(1e9))
