@@ -313,12 +313,8 @@ def rabi_model_factory(fixed: SystemParams):
         return steady.normalized_transmission(fixed, delta, g=abs(params[0]))
 
     def jacobian(delta, params):
-        g = abs(params[0])
-        z = (
-            (1j * (delta - fixed.cavity_detuning) + fixed.kappa)
-            * (1j * delta + fixed.gamma)
-            + g**2
-        )
+        g = np.atleast_1d(abs(params[0]))
+        z = steady._response_denominator(fixed, delta, g)
         t = steady.normalized_transmission(fixed, delta, g=g)
         sign = 1.0 if params[0] >= 0.0 else -1.0
         col = -t * 4.0 * g * np.real(z) / np.abs(z) ** 2 * sign

@@ -101,14 +101,10 @@ class SequenceConfig:
             raise ParameterError("trap_lifetime must be positive")
         if self.hold_time < 0.0:
             raise ParameterError("hold_time must be non-negative")
-        edges = tuple(float(e) for e in self.bin_edges)
-        if len(edges) != 5:
-            raise ParameterError("bin_edges must hold exactly 5 thresholds")
-        if any(e2 <= e1 for e1, e2 in zip(edges, edges[1:])):
-            raise ParameterError("bin_edges must be strictly increasing")
+        edges = _check_bin_edges(self.bin_edges)
         if edges[0] <= 0.0 or edges[-1] >= 1.0:
             raise ParameterError("bin_edges must lie strictly inside (0, 1)")
-        object.__setattr__(self, "bin_edges", edges)
+        object.__setattr__(self, "bin_edges", tuple(edges.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +181,16 @@ def empty_cavity_signal_rate(
     )
 
 
+def _check_bin_edges(bin_edges) -> np.ndarray:
+    """The 5 level thresholds as a float array; raises unless strictly increasing."""
+    edges = np.asarray(bin_edges, dtype=float)
+    if edges.shape != (5,):
+        raise ParameterError("bin_edges must hold exactly 5 thresholds")
+    if np.any(np.diff(edges) <= 0.0):
+        raise ParameterError("bin_edges must be strictly increasing")
+    return edges
+
+
 def classify_level(normalized_detection, bin_edges):
     """Map normalized detection transmission(s) onto levels 1..6.
 
@@ -193,11 +199,7 @@ def classify_level(normalized_detection, bin_edges):
     outside [0, 1] from shot noise clamp into the end bins. A scalar gives an
     int, an array an integer array of the same shape.
     """
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size != 5:
-        raise ParameterError("bin_edges must hold exactly 5 thresholds")
-    if np.any(np.diff(edges) <= 0.0):
-        raise ParameterError("bin_edges must be strictly increasing")
+    edges = _check_bin_edges(bin_edges)
     levels = 6 - np.searchsorted(edges, normalized_detection, side="left")
     return levels if np.ndim(levels) else int(levels)
 

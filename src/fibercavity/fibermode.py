@@ -132,12 +132,11 @@ class ModeSolution:
     tail_truncation_error: float
 
     def intensity(self, r):
-        """Azimuth-averaged |phi(r)|^2, normalized to 1 on axis."""
+        """Azimuth-averaged |phi(r)|^2, 1 on axis; a scalar r evaluates as a 1-element array."""
         profile = _intensity_profile(self.fiber, self.n_eff, self.u, self.w, self.s)
         r = np.asarray(r, dtype=float)
-        out = profile(r / self.fiber.core_radius)
-        out = out / profile(np.zeros(1))[0]
-        return float(out) if out.ndim == 0 else out
+        out = profile(np.atleast_1d(r) / self.fiber.core_radius) / profile(np.zeros(1))[0]
+        return float(out[0]) if r.ndim == 0 else out
 
 
 def _he11_residual_u(u: float, fiber: FiberSpec) -> float:
@@ -170,7 +169,7 @@ def _dispersion_lp01(u: float, fiber: FiberSpec) -> float:
 
 
 def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: float):
-    """Core and cladding azimuth-averaged intensity branches (unnormalized).
+    """Core and cladding azimuth-averaged intensity branches (unnormalized) of ndarray R.
 
     The radial intensity jumps at R = 1 (the normal field component is
     discontinuous across the index step), so quadrature must integrate each
@@ -184,13 +183,11 @@ def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: f
     clad_scale = (jv(1, u) / kv(1, w)) ** 2
 
     def core(R):
-        R = np.asarray(R, dtype=float)
         return (prefactor / u**2) * (
             c_minus**2 * jv(0, u * R) ** 2 + c_plus**2 * jv(2, u * R) ** 2
         ) + 0.5 * jv(1, u * R) ** 2
 
     def clad(R):
-        R = np.asarray(R, dtype=float)
         return clad_scale * (
             (prefactor / w**2)
             * (c_minus**2 * kv(0, w * R) ** 2 + c_plus**2 * kv(2, w * R) ** 2)
@@ -205,7 +202,6 @@ def _intensity_profile(fiber: FiberSpec, n_eff: float, u: float, w: float, s: fl
     core, clad = _intensity_branches(fiber, n_eff, u, w, s)
 
     def profile(R):
-        R = np.asarray(R, dtype=float)
         return np.where(R <= 1.0, core(R), clad(np.maximum(R, 1.0)))
 
     return profile

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import ParameterError, from_two_pi_mhz
+from .units import ParameterError, check_rates, from_two_pi_mhz
 
 DEFAULT_KAPPA_S = from_two_pi_mhz(50.0)  # rad/s, default switch-off rate
 
@@ -62,10 +62,7 @@ class RingdownParams:
         return self.kappa1 + self.kappa2 + self.kappa_loss
 
     def __post_init__(self):
-        for name in ("kappa1", "kappa2", "kappa_loss"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(f"decay rates non-negative: {name} is {value!r}")
+        check_rates(self)
         if self.kappa <= 0.0:
             raise ParameterError("total kappa must be positive")
         if not self.kappa_s > self.kappa:
@@ -99,9 +96,14 @@ class RingdownTrace:
         return self.times.size
 
 
-def reflected_field_analytic(params: RingdownParams, t):
-    """Closed-form reflected amplitude s_out(t) in the rotating frame."""
+def reflected_intensity_analytic(params: RingdownParams, t):
+    """Closed-form reflected intensity |s_out(t)|^2 (s_out as in the module docstring).
+
+    A scalar ``t`` evaluates as a 1-element array, and the float returned has
+    that array's bits.
+    """
     t = np.asarray(t, dtype=float)
+    times = np.atleast_1d(t)
     kappa, kappa2, kappa_s, s0 = (
         params.kappa,
         params.kappa2,
@@ -109,24 +111,17 @@ def reflected_field_analytic(params: RingdownParams, t):
         params.s0,
     )
     q = 2.0 * kappa2 / (kappa_s - kappa)
-    tc = np.maximum(t, 0.0)
+    tc = np.maximum(times, 0.0)
     after = s0 * (
         (2.0 * kappa2 / kappa + q) * np.exp(-kappa * tc)
         - (1.0 + q) * np.exp(-kappa_s * tc)
     )
     before = s0 * (2.0 * kappa2 / kappa - 1.0)
-    out = np.where(t < 0.0, before, after)
-    return float(out) if out.ndim == 0 else out
-
-
-def reflected_intensity_analytic(params: RingdownParams, t):
-    """Closed-form reflected intensity |s_out(t)|^2."""
-    field = reflected_field_analytic(params, t)
-    return np.abs(field) ** 2 if np.ndim(field) else abs(field) ** 2
+    out = np.abs(np.where(times < 0.0, before, after)) ** 2
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def analytic_trace(params: RingdownParams, t_grid) -> RingdownTrace:
-    t_grid = np.asarray(t_grid, dtype=float)
     return RingdownTrace(t_grid, reflected_intensity_analytic(params, t_grid))
 
 

@@ -10,8 +10,8 @@ with Delta_C = omega_C - omega_A the cavity detuning (zero by default, the
 co-resonant case). For g = 0 this reduces exactly to the empty-cavity
 Lorentzian 4 kappa1 kappa2 / ((Delta - Delta_C)^2 + kappa^2).
 
-All functions are pure and accept scalar or ndarray detunings; sweeps over
-detuning grids are embarrassingly parallel.
+All functions are pure and accept scalar or ndarray detunings. A scalar
+evaluates as a 1-element array and gets that array's bits.
 """
 
 from __future__ import annotations
@@ -58,30 +58,33 @@ def rows_per_block(width: int) -> int:
     return max(1, min(BLOCK_ROWS, BLOCK_COUNTS // max(width, 1)))
 
 
+def _response_denominator(params: SystemParams, delta, g):
+    """(i (Delta - Delta_C) + kappa)(i Delta + gamma) + g^2, on arrays of at least 1-d."""
+    return (
+        (1j * (delta - params.cavity_detuning) + params.kappa)
+        * (1j * delta + params.gamma)
+        + g**2
+    )
+
+
 def transmission(params: SystemParams, delta, g=None):
     """Absolute steady-state transmission T(Delta); scalar or ndarray delta.
 
     ``g``, when given, replaces ``params.g`` and broadcasts against ``delta``:
     a (n, 1) column of couplings over a (k,) grid gives n spectra, each equal
-    bit for bit to the call with ``params.with_g`` of that coupling.
+    bit for bit to the call with ``params.with_g`` of that coupling. Scalar
+    ``delta`` and ``g`` evaluate as 1-element arrays; the float has their bits.
     """
-    g = params.g if g is None else np.asarray(g, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    g = np.asarray(params.g if g is None else g, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ParameterError("g must be finite and non-negative")
-    # float_power squares with C pow, as a scalar's g**2 does; an array's g**2
-    # multiplies, which can differ in the last bit
-    g_squared = np.float_power(g, 2.0)
-    delta = np.asarray(delta, dtype=float)
+    deltas, couplings = np.atleast_1d(delta, g)
     num = np.abs(
-        2.0 * np.sqrt(params.kappa1 * params.kappa2) * (1j * delta + params.gamma)
+        2.0 * np.sqrt(params.kappa1 * params.kappa2) * (1j * deltas + params.gamma)
     ) ** 2
-    den = np.abs(
-        (1j * (delta - params.cavity_detuning) + params.kappa)
-        * (1j * delta + params.gamma)
-        + g_squared
-    ) ** 2
-    out = num / den
-    return float(out) if out.ndim == 0 else out
+    out = num / np.abs(_response_denominator(params, deltas, couplings)) ** 2
+    return float(out[0]) if delta.ndim == g.ndim == 0 else out
 
 
 def empty_cavity_peak_transmission(params: SystemParams) -> float:

@@ -106,17 +106,22 @@ class SystemParams:
         return replace(self, g=g)
 
 
-def validate(params: SystemParams) -> SystemParams:
-    """Check all SystemParams invariants; return the params unchanged.
-
-    Idempotent. Raises ParameterError naming the first violated invariant.
-    """
-    for name in ("kappa1", "kappa2", "kappa_loss", "gamma", "g"):
+def check_rates(params, names=("kappa1", "kappa2", "kappa_loss")):
+    """Raise ParameterError unless each named rate of ``params`` is finite and >= 0."""
+    for name in names:
         value = getattr(params, name)
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite")
         if value < 0.0:
             raise ParameterError(f"decay rates non-negative: {name} is {value!r}")
+
+
+def validate(params: SystemParams) -> SystemParams:
+    """Check all SystemParams invariants; return the params unchanged.
+
+    Idempotent. Raises ParameterError naming the first violated invariant.
+    """
+    check_rates(params, ("kappa1", "kappa2", "kappa_loss", "gamma", "g"))
     if params.gamma <= 0.0:
         raise ParameterError("gamma must be positive")
     if params.kappa <= 0.0:

@@ -102,6 +102,16 @@ def test_intensity_profile_normalized_and_decaying():
     assert intensity[-1] < 1e-6
 
 
+def test_a_scalar_radius_gets_the_bits_of_its_grid_element():
+    fiber, mode = solve_sm800()
+    # a last-bit difference shows for about 1 radius in 1500
+    r = np.random.default_rng(0).uniform(0.0, 3.0 * fiber.core_radius, 3000)
+    grid = mode.intensity(r)
+    scalars = [mode.intensity(x) for x in r.tolist()]
+    assert all(type(x) is float for x in scalars)
+    np.testing.assert_array_equal(np.array(scalars).view(np.int64), grid.view(np.int64))
+
+
 def test_effective_area_gaussian_cross_check():
     fiber, mode = solve_sm800()
     w = gaussian_mode_field_radius(fiber)

@@ -26,6 +26,7 @@ from fibercavity import (
     mirror_to_rate,
     normalized_transmission,
     rate_to_mirror,
+    reflected_intensity_analytic,
     run_ensemble,
     transmission,
 )
@@ -83,6 +84,58 @@ def test_normalized_empty_cavity_transmission_is_one_at_zero_detuning(params):
     empty = params.with_g(0.0)
     assert normalized_transmission(empty, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert normalized_transmission(params, [0.0], g=[0.0]) == pytest.approx([1.0], rel=1e-12)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(
+    params=systems(),
+    deltas=st.lists(detunings, min_size=2, max_size=12),
+    index=st.integers(0, 11),
+    g=st.just(0.0) | rates,
+)
+def test_a_scalar_detuning_gets_the_bits_of_its_grid_element(params, deltas, index, g):
+    index %= len(deltas)
+    grid = np.array(deltas)
+    delta = deltas[index]
+    kernels = {
+        "transmission": lambda d: transmission(params, d),
+        "transmission with g": lambda d: transmission(params, d, g=g),
+        "normalized_transmission": lambda d: normalized_transmission(params, d),
+    }
+    for name, kernel in kernels.items():
+        scalar = kernel(delta)
+        assert type(scalar) is float, name
+        assert bits(scalar) == bits(kernel(np.array([delta]))) == bits(kernel(grid)[index]), name
+    grid[index] = 0.0
+    assert normalized_transmission(params.with_g(0.0), grid)[index] == 1.0
+
+
+@PROPERTY
+@given(
+    kappa1=rates,
+    kappa2=st.just(0.0) | rates,
+    kappa_loss=st.just(0.0) | rates,
+    ratio=st.floats(1.2, 40.0),
+    s0=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_scalar_time_gets_the_bits_of_its_grid_element(
+    kappa1, kappa2, kappa_loss, ratio, s0, seed
+):
+    kappa = kappa1 + kappa2 + kappa_loss
+    params = RingdownParams(kappa1, kappa2, kappa_loss, kappa_s=ratio * kappa, s0=s0)
+    # a last-bit difference in |s_out|^2 shows for about 1 time in 3000, so
+    # each example checks a seeded batch of 256 times
+    times = np.random.default_rng(seed).uniform(-2.0, 12.0, 256) / kappa
+    grid = reflected_intensity_analytic(params, times)
+    for index, t in enumerate(times.tolist()):
+        scalar = reflected_intensity_analytic(params, t)
+        assert type(scalar) is float
+        assert bits(scalar) == bits(reflected_intensity_analytic(params, [t])) == bits(grid[index])
 
 
 @PROPERTY
