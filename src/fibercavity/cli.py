@@ -319,6 +319,8 @@ def _write_manifest(subcommand, config, inputs, outputs, started):
         outputs=[str(p) for p in outputs],
         seed=config["seed"],
         tool_version=__version__,
+        numpy_version=np.__version__,
+        python_version="%d.%d.%d" % sys.version_info[:3],
         duration_s=time.monotonic() - started,
     )
     dataio.write_manifest(str(outputs[0]) + ".manifest.json", manifest)

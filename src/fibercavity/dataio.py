@@ -144,22 +144,18 @@ def _csv_columns(text: str, header: tuple, what: str, optional: str | None = Non
     return np.array(rows, dtype=float).reshape(-1, width).T.copy()
 
 
-def spectrum_from_csv(text: str) -> Spectrum:
-    columns = _csv_columns(text, SPECTRUM_HEADER, "spectrum", optional="sigma")
-    return Spectrum(
-        deltas=columns[0] * TWO_PI_MHZ,
-        values=columns[1],
-        sigmas=columns[2] if len(columns) > 2 else None,
-    )
-
-
 def write_spectrum_csv(path, spectrum: Spectrum):
     atomic_write_text(path, spectrum_to_csv(spectrum))
 
 
 def read_spectrum_csv(path) -> Spectrum:
     with open(path, "r", encoding="utf-8") as handle:
-        return spectrum_from_csv(handle.read())
+        columns = _csv_columns(handle.read(), SPECTRUM_HEADER, "spectrum", optional="sigma")
+    return Spectrum(
+        deltas=columns[0] * TWO_PI_MHZ,
+        values=columns[1],
+        sigmas=columns[2] if len(columns) > 2 else None,
+    )
 
 
 def trace_to_csv(trace: RingdownTrace) -> str:
@@ -169,18 +165,14 @@ def trace_to_csv(trace: RingdownTrace) -> str:
     return _rows_to_csv(TRACE_HEADER, times, NS, [intensities])
 
 
-def trace_from_csv(text: str) -> RingdownTrace:
-    times, intensities = _csv_columns(text, TRACE_HEADER, "trace")
-    return RingdownTrace(times=times * NS, intensities=intensities)
-
-
 def write_trace_csv(path, trace: RingdownTrace):
     atomic_write_text(path, trace_to_csv(trace))
 
 
 def read_trace_csv(path) -> RingdownTrace:
     with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_csv(handle.read())
+        times, intensities = _csv_columns(handle.read(), TRACE_HEADER, "trace")
+    return RingdownTrace(times=times * NS, intensities=intensities)
 
 
 def detuning_keys(detunings) -> list:
@@ -257,6 +249,8 @@ class RunManifest:
     outputs: list
     seed: int
     tool_version: str
+    numpy_version: str
+    python_version: str
     duration_s: float
 
     def to_json(self) -> str:

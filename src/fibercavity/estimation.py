@@ -10,11 +10,10 @@ damped step lowers the cost, the fit stops where it is and is converged if
 the undamped Gauss-Newton step predicts a relative cost reduction of at most
 1e-10 (MINPACK's ``ftol`` test, Moré 1978), else not.
 
-Derivatives come from central finite differences with a per-parameter
-relative step of 1e-6 unless a model supplies an analytic Jacobian. Weights
-are 1/sigma^2 when per-point uncertainties are given; otherwise weights are
-uniform and the parameter covariance is scaled by the residual variance.
-Bounds are enforced by projecting each trial point.
+Every model supplies its analytic Jacobian; the engine has no other source
+of derivatives. Weights are 1/sigma^2 when per-point uncertainties are given;
+otherwise weights are uniform and the parameter covariance is scaled by the
+residual variance. Bounds are enforced by projecting each trial point.
 
 Everything here is deterministic: identical inputs give bit-identical
 results. The engine is reentrant; concurrent fits on separate data are safe.
@@ -36,9 +35,8 @@ TOLERANCE = 1e-10  # relative: cost change, scaled gradient, predicted reduction
 
 
 class FitError(RuntimeError):
-    """The fit cannot give a meaningful estimate: the model returned
-    non-finite values where derivatives were needed, or the data do not
-    show the assumed decay."""
+    """The fit cannot give a meaningful estimate: the model or its Jacobian
+    returned non-finite values, or the data do not show the assumed decay."""
 
 
 @dataclass(frozen=True)
@@ -98,33 +96,16 @@ class FitResult:
         return float(self.uncertainties[self.names.index(name)])
 
 
-def _finite_difference_jacobian(model, x, params):
-    n = params.size
-    jac = np.empty((x.size, n))
-    for i in range(n):
-        h = 1e-6 * (abs(params[i]) if params[i] != 0.0 else 1.0)
-        plus = params.copy()
-        minus = params.copy()
-        plus[i] += h
-        minus[i] -= h
-        f_plus = np.asarray(model(x, plus), dtype=float)
-        f_minus = np.asarray(model(x, minus), dtype=float)
-        jac[:, i] = (f_plus - f_minus) / (2.0 * h)
-    if not np.all(np.isfinite(jac)):
-        raise FitError("model returned non-finite values while differentiating")
-    return jac
-
-
 def fit_least_squares(
     model,
     x,
     y,
     initial,
     *,
+    jac,
+    bounds,
+    names,
     sigmas=None,
-    bounds=None,
-    jac=None,
-    names=None,
 ) -> FitResult:
     """Minimize the weighted squared residuals of ``model(x, params) - y``.
 
@@ -136,35 +117,31 @@ def fit_least_squares(
         Sample points and observed values.
     initial : array_like
         Starting parameters; must lie within ``bounds``.
+    jac : callable
+        Analytic Jacobian ``jac(x, params) -> (npoints, nparams)``.
+    bounds : sequence of (lo, hi)
+        One box per parameter; a ``None`` lo or hi means unbounded.
+    names : sequence of str
+        One name per parameter, for the FitResult.
     sigmas : array_like, optional
         Per-point 1-sigma uncertainties; weights become 1/sigma^2.
-    bounds : sequence of (lo, hi), optional
-        Per-parameter box; ``None`` entries mean unbounded.
-    jac : callable, optional
-        Analytic Jacobian ``jac(x, params) -> (npoints, nparams)``.
-    names : sequence of str, optional
-        Parameter names for the FitResult (defaults to p0, p1, ...).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     params = np.array(initial, dtype=float).ravel()
     n_par = params.size
+    names = tuple(names)
     if x.ndim != 1 or y.shape != x.shape:
         raise ParameterError("x and y must be 1-d and equal length")
     if y.size < n_par:
         raise ParameterError("need at least as many points as parameters")
+    if len(names) != n_par:
+        raise ParameterError("names must give one name per parameter")
+    if len(bounds) != n_par:
+        raise ParameterError("bounds must give one (lo, hi) pair per parameter")
 
-    lo = np.full(n_par, -np.inf)
-    hi = np.full(n_par, np.inf)
-    if bounds is not None:
-        if len(bounds) != n_par:
-            raise ParameterError("bounds must give one (lo, hi) pair per parameter")
-        for i, pair in enumerate(bounds):
-            if pair is None:
-                continue
-            b_lo, b_hi = pair
-            lo[i] = -np.inf if b_lo is None else float(b_lo)
-            hi[i] = np.inf if b_hi is None else float(b_hi)
+    lo = np.array([-np.inf if b_lo is None else float(b_lo) for b_lo, _ in bounds])
+    hi = np.array([np.inf if b_hi is None else float(b_hi) for _, b_hi in bounds])
     if np.any(params < lo) or np.any(params > hi):
         raise ParameterError("initial parameters must lie within bounds")
 
@@ -179,20 +156,14 @@ def fit_least_squares(
         sqrt_w = np.ones_like(y)
 
     def jacobian(p):
-        if jac is not None:
-            j = np.asarray(jac(x, p), dtype=float)
-            if not np.all(np.isfinite(j)):
-                raise FitError("analytic Jacobian returned non-finite values")
-            return j
-        return _finite_difference_jacobian(model, x, p)
+        j = np.asarray(jac(x, p), dtype=float)
+        if not np.all(np.isfinite(j)):
+            raise FitError("analytic Jacobian returned non-finite values")
+        return j
 
     def weighted_residual(p):
         r = (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
         return r
-
-    if names is None:
-        names = tuple(f"p{i}" for i in range(n_par))
-    names = tuple(names)
 
     residual = weighted_residual(params)
     if not np.all(np.isfinite(residual)):
@@ -308,14 +279,15 @@ def lorentzian_jacobian(delta, params):
 
 def rabi_model_factory(fixed: SystemParams):
     """Single-parameter model g -> normalized transmission, with its Jacobian."""
+    reference = steady.empty_cavity_reference(fixed)  # normalized_transmission's divisor
 
     def model(delta, params):
-        return steady.normalized_transmission(fixed, delta, g=abs(params[0]))
+        return steady.transmission(fixed, delta, g=abs(params[0])) / reference
 
     def jacobian(delta, params):
         g = np.atleast_1d(abs(params[0]))
         z = steady._response_denominator(fixed, delta, g)
-        t = steady.normalized_transmission(fixed, delta, g=g)
+        t = steady.transmission(fixed, delta, g=g) / reference
         sign = 1.0 if params[0] >= 0.0 else -1.0
         col = -t * 4.0 * g * np.real(z) / np.abs(z) ** 2 * sign
         return col[:, None]
@@ -352,7 +324,7 @@ def fit_empty_cavity(spectrum: Spectrum, *, float_center: bool = False) -> FitRe
     deltas, values = spectrum.deltas, spectrum.values
     if not len(spectrum):
         raise ParameterError("spectrum holds no points")
-    amp0 = float(np.max(values))
+    amp0 = max(float(np.max(values)), 0.0)  # the start must lie in the amplitude bound
     above = deltas[values >= 0.5 * amp0]
     if above.size >= 2 and above.max() > above.min():
         kappa0 = 0.5 * float(above.max() - above.min())

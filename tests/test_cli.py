@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import warnings
@@ -55,6 +56,14 @@ def test_spectrum_matches_library(tmp_path):
     manifest = load_manifest(out / "spectrum.csv")
     assert manifest["subcommand"] == "spectrum"
     assert manifest["seed"] == 1
+
+
+def test_manifest_records_the_numpy_and_python_versions(tmp_path):
+    out = tmp_path / "sp"
+    assert run_cli("spectrum", "--out", str(out), "--seed", "1") == EXIT_OK
+    doc = load_manifest(out / "spectrum.csv")
+    assert doc["numpy_version"] == np.__version__
+    assert platform.python_version().startswith(doc["python_version"])
 
 
 def test_spectrum_zero_coupling_is_lorentzian(tmp_path):
@@ -442,6 +451,25 @@ def test_fit_on_a_csv_without_rows_is_a_data_error(tmp_path, capsys):
     )
     assert "spectrum holds no points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--float-center"]], ids=["fixed-center", "float-center"])
+def test_lorentzian_fit_of_a_spectrum_with_no_positive_value_starts_in_its_bounds(
+    tmp_path, capsys, extra
+):
+    # The amplitude bound is [0, inf): the recipe's start is not the config's
+    # fault, so this is a numerical outcome, not a config error.
+    data = tmp_path / "data.csv"
+    data.write_text("delta_two_pi_mhz,transmission_normalized\n-1,-0.5\n0,-1\n1,-0.5\n")
+    out = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--recipe", "lorentzian", "--data", str(data), *extra, "--out", str(out),
+        "--seed", "1",
+    ) == EXIT_NUMERIC
+    assert "parameter error" not in capsys.readouterr().err
+    doc = json.loads((out / "fit_result.json").read_text())
+    assert doc["converged"] is False
+    assert doc["estimates"][0] >= 0.0
 
 
 @pytest.mark.parametrize(

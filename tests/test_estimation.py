@@ -8,6 +8,7 @@ from fibercavity import (
     analytic_trace,
     from_two_pi_mhz,
     normalized_transmission,
+    steady,
 )
 from fibercavity.estimation import (
     FitResult,
@@ -47,6 +48,9 @@ def test_initial_point_already_optimal():
         spectrum.deltas,
         spectrum.values,
         [1.0, 6.4 * TWO_PI_MHZ],
+        jac=lorentzian_jacobian,
+        bounds=[(None, None), (None, None)],
+        names=("amplitude", "kappa"),
     )
     assert result.converged
     assert result.iterations == 0
@@ -59,7 +63,14 @@ def test_linear_model_matches_weighted_regression():
     y = 3.7 * x + rng.normal(0.0, 0.4, x.size)
     sigmas = rng.uniform(0.2, 1.5, x.size)
     result = fit_least_squares(
-        lambda xx, p: p[0] * xx, x, y, [1.0], sigmas=sigmas
+        lambda xx, p: p[0] * xx,
+        x,
+        y,
+        [1.0],
+        sigmas=sigmas,
+        jac=lambda xx, p: xx[:, None],
+        bounds=[(None, None)],
+        names=("slope",),
     )
     w = 1.0 / sigmas**2
     closed_form = float(np.sum(w * x * y) / np.sum(w * x * x))
@@ -75,7 +86,13 @@ def test_single_parameter_recovery_from_offset_start():
     true = 1.37
     y = np.exp(-true * x)
     result = fit_least_squares(
-        lambda xx, p: np.exp(-p[0] * xx), x, y, [true * 1.5]
+        lambda xx, p: np.exp(-p[0] * xx),
+        x,
+        y,
+        [true * 1.5],
+        jac=lambda xx, p: (-xx * np.exp(-p[0] * xx))[:, None],
+        bounds=[(None, None)],
+        names=("rate",),
     )
     assert result.converged
     assert result.estimates[0] == pytest.approx(true, rel=1e-6)
@@ -90,11 +107,56 @@ def test_engine_input_validation():
             spectrum.values,
             [1.0, 1.0],
             bounds=[(0.0, None), (2.0, None)],
+            jac=lorentzian_jacobian,
+            names=("amplitude", "kappa"),
         )
     with pytest.raises(ParameterError, match="points"):
         fit_least_squares(
-            lorentzian_model, spectrum.deltas[:1], spectrum.values[:1], [1.0, 1.0]
+            lorentzian_model,
+            spectrum.deltas[:1],
+            spectrum.values[:1],
+            [1.0, 1.0],
+            jac=lorentzian_jacobian,
+            bounds=[(None, None), (None, None)],
+            names=("amplitude", "kappa"),
         )
+
+
+def test_names_and_bounds_give_one_entry_per_parameter():
+    spectrum = lorentzian_spectrum()
+    unbounded = [(None, None), (None, None)]
+    for names, bounds, match in [
+        (("kappa",), unbounded, "names"),
+        (("amplitude", "kappa", "center"), unbounded, "names"),
+        (("amplitude", "kappa"), unbounded[:1], "bounds"),
+        (("amplitude", "kappa"), unbounded * 2, "bounds"),
+    ]:
+        with pytest.raises(ParameterError, match=match):
+            fit_least_squares(
+                lorentzian_model,
+                spectrum.deltas,
+                spectrum.values,
+                [1.0, 6.4 * TWO_PI_MHZ],
+                jac=lorentzian_jacobian,
+                bounds=bounds,
+                names=names,
+            )
+
+
+def test_rabi_g_fit_computes_the_empty_cavity_reference_once(measured_params, monkeypatch):
+    deltas = np.linspace(-25.0, 25.0, 41) * TWO_PI_MHZ
+    spectrum = Spectrum(deltas, normalized_transmission(measured_params, deltas))
+    calls = []
+    reference = steady.empty_cavity_reference
+
+    def counted(params):
+        calls.append(params)
+        return reference(params)
+
+    monkeypatch.setattr(steady, "empty_cavity_reference", counted)
+    result = fit_rabi_g(spectrum, measured_params)
+    assert result.converged and result.iterations > 0
+    assert calls == [measured_params]
 
 
 def central_difference(model, x, params, i, rel=1e-7):
