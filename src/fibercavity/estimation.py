@@ -173,7 +173,7 @@ def fit_least_squares(
     damping = 1e-3
     iterations = 0
     converged = False
-    jw = None
+    jw = None  # the weighted Jacobian at params; None once a step moves them
     for _ in range(200):
         jw = jacobian(params) * sqrt_w[:, None]
         gradient = jw.T @ residual
@@ -201,7 +201,7 @@ def fit_least_squares(
             if np.all(np.isfinite(trial_residual)):
                 trial_cost = float(trial_residual @ trial_residual)
                 if trial_cost < cost:
-                    params, residual = trial, trial_residual
+                    params, residual, jw = trial, trial_residual, None
                     previous_cost, cost = cost, trial_cost
                     damping = max(damping / 10.0, 1e-15)
                     stepped = True
@@ -221,7 +221,8 @@ def fit_least_squares(
             converged = True
             break
 
-    jw = jacobian(params) * sqrt_w[:, None]
+    if jw is None:
+        jw = jacobian(params) * sqrt_w[:, None]
     uncertainties = _covariance_uncertainties(jw, cost, y.size, n_par, sigmas)
     return FitResult(
         names=names,

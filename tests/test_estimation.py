@@ -10,6 +10,7 @@ from fibercavity import (
     normalized_transmission,
     steady,
 )
+from fibercavity import estimation
 from fibercavity.estimation import (
     FitResult,
     Spectrum,
@@ -157,6 +158,41 @@ def test_rabi_g_fit_computes_the_empty_cavity_reference_once(measured_params, mo
     result = fit_rabi_g(spectrum, measured_params)
     assert result.converged and result.iterations > 0
     assert calls == [measured_params]
+
+
+@pytest.mark.parametrize(
+    "case, evaluations",
+    [("optimal start", 1), ("offset start", 5), ("damping exhausted", 4)],
+)
+def test_the_jacobian_is_not_evaluated_twice_at_the_same_parameters(
+    case, evaluations, monkeypatch
+):
+    # Fits that end on the gradient test, at the start or after steps, or with
+    # no damped step lowering the cost (test_fit_stalled_at_optimum_is_converged)
+    # end where the loop last evaluated the Jacobian.
+    calls = []
+
+    def counted(x, params):
+        calls.append(params.tobytes())
+        return lorentzian_jacobian(x, params)
+
+    monkeypatch.setattr(estimation, "lorentzian_jacobian", counted)
+    if case == "damping exhausted":
+        result = _noisy_lorentzian(146)
+    else:
+        spectrum = lorentzian_spectrum()
+        amplitude, kappa_mhz = (1.0, 6.4) if case == "optimal start" else (0.9, 5.0)
+        result = fit_least_squares(
+            lorentzian_model,
+            spectrum.deltas,
+            spectrum.values,
+            [amplitude, kappa_mhz * TWO_PI_MHZ],
+            jac=counted,
+            bounds=[(0.0, None), (0.0, None)],
+            names=("amplitude", "kappa"),
+        )
+    assert result.converged
+    assert len(set(calls)) == len(calls) == evaluations
 
 
 def central_difference(model, x, params, i, rel=1e-7):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from fibercavity.constants import (
     EPSILON_0,
     HBAR,
 )
+from fibercavity import fibermode
 from fibercavity.fibermode import _dispersion_he11, gaussian_mode_field_radius
 
 
@@ -206,3 +208,88 @@ def test_atom_spec_validation():
         AtomSpec(dipole_moment=1e-29, transition_angular_frequency=-1.0)
     atom = cs_d2_atom()
     assert atom.dipole_moment == pytest.approx(2.685e-29, rel=1e-3)
+
+
+def scipy_brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """The reference for ``fibermode._brentq``."""
+    from scipy.optimize import brentq
+
+    return brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+def scipy_simpson(y, x):
+    """The reference for ``fibermode._simpson``."""
+    from scipy.integrate import simpson
+
+    return simpson(y, x=x)
+
+
+def random_fiber(rng):
+    """A step-index fiber with V from 0.5 to 3.8, past the single-mode limit."""
+    wavelength = rng.uniform(0.4e-6, 1.6e-6)
+    n_clad = rng.uniform(1.3, 1.6)
+    v = 10.0 ** rng.uniform(math.log10(0.5), math.log10(3.8))
+    radius = 10.0 ** rng.uniform(-6.5, -5.0)
+    na = v * wavelength / (2.0 * math.pi * radius)
+    return FiberSpec(radius, math.sqrt(n_clad**2 + na**2), n_clad, wavelength)
+
+
+def test_mode_solutions_are_bit_identical_to_scipy(monkeypatch):
+    rng = np.random.default_rng(19)
+    ports = (fibermode._brentq, fibermode._simpson)
+    for _ in range(24):
+        fiber = random_fiber(rng)
+        samples = int(rng.choice([3, 5, 9, 33, 257]))
+        results = []
+        for brentq, simpson in (ports, (scipy_brentq, scipy_simpson)):
+            monkeypatch.setattr(fibermode, "_brentq", brentq)
+            monkeypatch.setattr(fibermode, "_simpson", simpson)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                mode = solve_fundamental_mode(fiber, samples)
+            fields = (mode.n_eff, mode.u, mode.w, mode.s, mode.effective_area)
+            lp01 = solve_lp01(fiber)
+            results.append(np.array([*fields, mode.tail_truncation_error, lp01]).tobytes())
+        assert results[0] == results[1]
+
+
+def test_simpson_is_bit_identical_to_scipy():
+    rng = np.random.default_rng(7)
+    for n in (3, 5, 7, 31, 4097):
+        y = rng.normal(size=n)
+        uniform = np.linspace(rng.uniform(-1.0, 1.0), rng.uniform(1.5, 15.0), n)
+        for x in (uniform, np.cumsum(rng.uniform(0.1, 2.0, n))):
+            assert fibermode._simpson(y, x).tobytes() == scipy_simpson(y, x).tobytes()
+
+
+def test_brentq_is_bit_identical_to_scipy_down_to_its_iteration_limit():
+    rng = np.random.default_rng(11)
+    shapes = (
+        lambda x, c, r: (x - r) * (1.0 + c**2 * x**2),
+        lambda x, c, r: math.tanh(5.0 * (x - r)) + 1e-3 * c,
+        lambda x, c, r: (x - r) ** 3 * (abs(c) + 0.1),
+        lambda x, c, r: math.expm1(x - r) + 1e-6 * c,
+    )
+    for trial in range(400):
+        c, root = rng.normal(), rng.uniform(-2.0, 2.0)
+        f = functools.partial(shapes[trial % 4], c=c, r=root)
+        lo, hi = -3.0 - rng.random(), 3.0 + rng.random()
+        xtol, rtol = 10.0 ** rng.uniform(-16.0, -3.0), 8.9e-16 * 10.0 ** rng.uniform(0.0, 8.0)
+        maxiter = int(rng.integers(1, 30)) if trial % 2 else 100
+        try:
+            expected = repr(scipy_brentq(f, lo, hi, xtol, rtol, maxiter))
+        except RuntimeError:  # scipy: "Failed to converge after ... iterations"
+            expected = "not converged"
+        try:
+            found = repr(fibermode._brentq(f, lo, hi, xtol, rtol, maxiter))
+        except NoGuidedModeError as exc:
+            assert str(exc) == f"Brent's method did not converge in {maxiter} iterations"
+            found = "not converged"
+        assert found == expected
+
+
+def test_brentq_refuses_a_bracket_without_a_sign_change_or_with_a_nan():
+    with pytest.raises(NoGuidedModeError, match="no sign change"):
+        fibermode._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
+    with pytest.raises(NoGuidedModeError, match="NaN"):
+        fibermode._brentq(lambda x: x if x >= 0.0 else math.nan, -1.0, 1.0, 1e-15, 8.9e-16)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from fibercavity import (
     reflected_intensity_analytic,
     two_pi_mhz,
 )
+from fibercavity import ringdown
+from fibercavity.ringdown import IntegrationError
 
 KAPPA1 = from_two_pi_mhz(0.12)
 KAPPA_LOSS = from_two_pi_mhz(3.2)
@@ -184,3 +188,92 @@ def test_trace_invariants():
         RingdownTrace(np.array([0.0, 1.0]), np.array([1.0, -0.5]))
     trace = RingdownTrace(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
     assert len(trace) == 2
+
+
+def scipy_dop853(fun, t_end, y0, t_eval, rtol, atol):
+    """The reference for ``ringdown._dop853``: scipy's own DOP853."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
+        fun, (0.0, t_end), [y0], method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol
+    )
+    assert sol.success, sol.message
+    return sol.y[0]
+
+
+def random_grid(rng, p):
+    """A strictly increasing grid: across the switch-off, from it, a single
+    positive point, ending at t = 0, or all before it."""
+    t_hi = rng.uniform(0.01, 30.0) / p.kappa
+    points = int(rng.integers(2, 400))
+    shape = rng.integers(5)
+    if shape == 0:
+        return np.linspace(-rng.uniform(0.0, 1.0) * t_hi, t_hi, points)
+    if shape == 1:
+        return np.linspace(rng.uniform(0.0, 0.5) * t_hi, t_hi, points)
+    if shape == 2:
+        return np.array([t_hi])
+    if shape == 3:
+        return np.linspace(-t_hi, 0.0, points)
+    return np.linspace(-2.0 * t_hi, -t_hi, points)
+
+
+def test_integration_is_bit_identical_to_scipy_dop853(monkeypatch):
+    rng = np.random.default_rng(19)
+    port = ringdown._dop853
+    for _ in range(80):
+        kappa1 = rng.uniform(0.05, 5.0)
+        kappa2 = rng.uniform(0.0, 10.0)
+        kappa_loss = rng.uniform(0.0, 5.0)
+        p = RingdownParams(
+            kappa1=from_two_pi_mhz(kappa1),
+            kappa2=from_two_pi_mhz(kappa2),
+            kappa_loss=from_two_pi_mhz(kappa_loss),
+            kappa_s=from_two_pi_mhz(kappa1 + kappa2 + kappa_loss) * rng.uniform(1.01, 40.0),
+            s0=10.0 ** rng.uniform(-3.0, 3.0),
+        )
+        t = random_grid(rng, p)
+        monkeypatch.setattr(ringdown, "_dop853", port)
+        ported = integrate_ringdown(p, t).intensities
+        monkeypatch.setattr(ringdown, "_dop853", scipy_dop853)
+        reference = integrate_ringdown(p, t).intensities
+        assert ported.tobytes() == reference.tobytes()
+
+
+def nan_after(t_fail):
+    """y' = -y until t_fail, then NaN: every later step is rejected."""
+
+    def fun(t, y):
+        return np.array([-y[0] if t < t_fail else math.nan])
+
+    return fun
+
+
+def test_a_failed_integration_reports_the_last_point_reached_as_scipy_does():
+    from scipy.integrate import solve_ivp
+
+    t_eval = np.linspace(0.0, 10.0, 101)
+    fun = nan_after(3.3)
+    sol = solve_ivp(
+        fun, (0.0, 10.0), [1.0], method="DOP853", t_eval=t_eval, rtol=1e-9, atol=1e-12
+    )
+    assert not sol.success
+    expected = f"ring-down integration failed near t = {sol.t[-1]:.3e} s: {sol.message}"
+    with pytest.raises(IntegrationError) as failure:
+        ringdown._dop853(fun, 10.0, 1.0, t_eval, 1e-9, 1e-12)
+    assert str(failure.value) == expected
+
+
+def test_a_nan_derivative_at_the_start_fails_at_t_zero_instead_of_stepping_forever():
+    # scipy's solver takes NaN steps here without end
+    with pytest.raises(IntegrationError) as failure:
+        ringdown._dop853(nan_after(0.0), 10.0, 1.0, np.linspace(5.0, 10.0, 3), 1e-9, 1e-12)
+    assert str(failure.value) == (
+        "ring-down integration failed near t = 0.000e+00 s: "
+        "Required step size is less than spacing between numbers."
+    )
+
+
+def test_a_drive_that_overflows_the_steady_state_field_is_refused():
+    with pytest.raises(ParameterError, match="s0 = 1e\\+305 overflows"):
+        integrate_ringdown(make_params(3.08, s0=1e305), np.linspace(0.0, 1e-7, 5))
