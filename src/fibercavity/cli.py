@@ -6,13 +6,17 @@ documented by ``--dump-config``) and lets flags override config fields. One
 field table per subcommand declares each field's kind, default, bounds, unit
 and overriding flag; ``_resolve`` turns the document plus flags into the
 resolved document, which ``--dump-config`` prints, the manifest records and
-the subcommand then runs from. Outputs are written atomically, next to a
-``<primary output>.manifest.json`` holding the resolved config, seed and tool
-version, so re-running with a manifest's config reproduces the outputs
-byte-identically.
+the subcommand then runs from. Each subcommand is a prepare step, which
+resolves and checks its config before anything runs and returns it with a
+job; ``_run`` owns the rest: the clock, the ``--dump-config`` exit, the
+``Outputs`` the job writes atomically, and the ``<first output>.manifest.json``
+holding the resolved config, seed and tool version, so re-running with a
+manifest's config reproduces the outputs byte-identically. ``SUBCOMMANDS``
+builds the parser, one entry per subcommand.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure
-(non-convergence, no root, integration failure), 4 I/O error.
+(non-convergence, no root, integration failure, a numpy whose seeding the
+ensemble does not replay), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import os
 import sys
 import time
 import warnings
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -311,34 +315,27 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _write_manifest(subcommand, config, inputs, outputs, started):
-    manifest = dataio.RunManifest(
-        subcommand=subcommand,
-        config=config,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        seed=config["seed"],
-        tool_version=__version__,
-        numpy_version=np.__version__,
-        python_version="%d.%d.%d" % sys.version_info[:3],
-        duration_s=time.monotonic() - started,
-    )
-    dataio.write_manifest(str(outputs[0]) + ".manifest.json", manifest)
+class Outputs:
+    """The files a run writes in its output directory (created on the first
+    one), recorded in the order they are named."""
 
+    def __init__(self, directory: str):
+        self.directory, self.paths = directory, []
 
-def _output(outputs: list, directory: str, name: str) -> str:
-    """Path of output ``name`` in directory (created), recorded in outputs."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
-    outputs.append(path)
-    return path
+    def path(self, name: str) -> str:
+        os.makedirs(self.directory, exist_ok=True)
+        path = os.path.join(self.directory, name)
+        self.paths.append(path)
+        return path
 
+    def text(self, name: str, text: str):
+        dataio.atomic_write_text(self.path(name), text)
 
-def _report(outputs: list, directory: str, name: str, doc: dict):
-    """Write doc as the JSON output ``name`` and echo it to stdout."""
-    text = dataio.json_text(doc)
-    dataio.atomic_write_text(_output(outputs, directory, name), text)
-    print(text, end="")
+    def report(self, name: str, doc: dict):
+        """Write doc as the JSON output ``name`` and echo it to stdout."""
+        text = dataio.json_text(doc)
+        self.text(name, text)
+        print(text, end="")
 
 
 def _detuning_grid(low: float, high: float, points: int) -> np.ndarray:
@@ -355,17 +352,11 @@ def _transmission_chart(series, title: str) -> str:
     )
 
 
-def _dump_config_and_exit(resolved: dict):
-    print(dataio.json_text(resolved), end="")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.monotonic()
+def _spectrum(args):
     config = _resolve(SPECTRUM, _load_config(args.config), args)
     with _at("/system"):
         system = _build(SystemParams, SYSTEM, config["system"])
@@ -379,34 +370,30 @@ def _cmd_spectrum(args) -> int:
         g_values, names = g_values or [system.g], ["spectrum.csv"]
     if len(set(names)) < len(names):
         _fail("/g_list_two_pi_mhz", f"values that agree to 3 decimals share a file: {names}")
-    if args.dump_config:
-        return _dump_config_and_exit(config)
 
-    deltas = _detuning_grid(
-        from_two_pi_mhz(grid["delta_min_mhz"]), from_two_pi_mhz(grid["delta_max_mhz"]),
-        grid["points"],
-    )
+    def job(out: Outputs):
+        deltas = _detuning_grid(
+            from_two_pi_mhz(grid["delta_min_mhz"]), from_two_pi_mhz(grid["delta_max_mhz"]),
+            grid["points"],
+        )
+        series = []
+        for g, name in zip(g_values, names):
+            values = steady.normalized_transmission(system.with_g(g), deltas)
+            spectrum = estimation.Spectrum(deltas=deltas, values=values)
+            dataio.write_spectrum_csv(out.path(name), spectrum)
+            series.append((f"g = 2π×{two_pi_mhz(g):.1f} MHz", deltas, values))
+        if args.plot:
+            out.text("spectrum.svg", _transmission_chart(series, "Normalized transmission"))
+        return EXIT_OK, []
 
-    outputs, series = [], []
-    for g, name in zip(g_values, names):
-        values = steady.normalized_transmission(system.with_g(g), deltas)
-        spectrum = estimation.Spectrum(deltas=deltas, values=values)
-        dataio.write_spectrum_csv(_output(outputs, args.out, name), spectrum)
-        series.append((f"g = 2π×{two_pi_mhz(g):.1f} MHz", deltas, values))
-    if args.plot:
-        svg = _transmission_chart(series, "Normalized transmission")
-        dataio.atomic_write_text(_output(outputs, args.out, "spectrum.svg"), svg)
-
-    _write_manifest("spectrum", config, [], outputs, started)
-    return EXIT_OK
+    return config, job
 
 
 # ---------------------------------------------------------------------------
 # ringdown
 
 
-def _cmd_ringdown(args) -> int:
-    started = time.monotonic()
+def _ringdown(args):
     config = _resolve(RINGDOWN, _load_config(args.config), args)
     with _at("/ringdown"):
         params = _build(RingdownParams, RINGDOWN["ringdown"], config["ringdown"])
@@ -425,68 +412,49 @@ def _cmd_ringdown(args) -> int:
     if method != "analytic":
         with _at("/grid/t_max_ns"):
             ringdown.check_integration_span(params, grid["t_max_ns"] * 1e-9)
-    if args.dump_config:
-        return _dump_config_and_exit(config)
 
-    t_grid = np.linspace(grid["t_min_ns"], grid["t_max_ns"], grid["points"]) * 1e-9
-    outputs, traces = [], {}
-    if method in ("analytic", "both"):
-        traces["analytic"] = ringdown.analytic_trace(params, t_grid)
-    if method in ("integrate", "both"):
-        traces["integrated"] = ringdown.integrate_ringdown(params, t_grid)
-    for name, trace in traces.items():
-        dataio.write_trace_csv(_output(outputs, args.out, f"ringdown_{name}.csv"), trace)
+    def job(out: Outputs):
+        t_grid = np.linspace(grid["t_min_ns"], grid["t_max_ns"], grid["points"]) * 1e-9
+        traces = {}
+        if method in ("analytic", "both"):
+            traces["analytic"] = ringdown.analytic_trace(params, t_grid)
+        if method in ("integrate", "both"):
+            traces["integrated"] = ringdown.integrate_ringdown(params, t_grid)
+        for name, trace in traces.items():
+            dataio.write_trace_csv(out.path(f"ringdown_{name}.csv"), trace)
 
-    summary = {}
-    if args.compare:
-        reference = traces["analytic"].intensities
-        deviation = float(
-            np.max(np.abs(traces["integrated"].intensities - reference))
-            / max(float(np.max(reference)), np.finfo(float).tiny)
-        )
-        summary["max_relative_deviation"] = deviation
-        print(json.dumps(summary, sort_keys=True))
+        summary = {}
+        if args.compare:
+            reference = traces["analytic"].intensities
+            summary["max_relative_deviation"] = float(
+                np.max(np.abs(traces["integrated"].intensities - reference))
+                / max(float(np.max(reference)), np.finfo(float).tiny)
+            )
+            print(json.dumps(summary, sort_keys=True))
 
-    if args.plot:
-        series = [
-            (name, trace.times * 1e9, trace.intensities)
-            for name, trace in traces.items()
-        ]
-        dataio.atomic_write_text(
-            _output(outputs, args.out, "ringdown.svg"),
-            svgplot.line_chart(
-                series,
-                title="Reflected intensity",
-                x_label="t (ns)",
-                y_label="|s_out|^2 / s0^2",
-            ),
-        )
+        axes = {"x_label": "t (ns)", "y_label": "|s_out|^2 / s0^2"}
+        if args.plot:
+            series = [(name, t.times * 1e9, t.intensities) for name, t in traces.items()]
+            chart = svgplot.line_chart(series, title="Reflected intensity", **axes)
+            out.text("ringdown.svg", chart)
+        if panels:
+            charts = []
+            for title, panel in panels:
+                trace = ringdown.analytic_trace(panel, t_grid)
+                charts.append((title, [("analytic", trace.times * 1e9, trace.intensities)]))
+            out.text("ringdown_triptych.svg", svgplot.triptych(charts, **axes))
+        if summary:
+            out.text("ringdown_summary.json", dataio.json_text(summary))
+        return EXIT_OK, []
 
-    if panels:
-        charts = []
-        for title, panel in panels:
-            trace = ringdown.analytic_trace(panel, t_grid)
-            charts.append((title, [("analytic", trace.times * 1e9, trace.intensities)]))
-        dataio.atomic_write_text(
-            _output(outputs, args.out, "ringdown_triptych.svg"),
-            svgplot.triptych(charts, x_label="t (ns)", y_label="|s_out|^2 / s0^2"),
-        )
-
-    if summary:
-        dataio.atomic_write_text(
-            _output(outputs, args.out, "ringdown_summary.json"), dataio.json_text(summary)
-        )
-
-    _write_manifest("ringdown", config, [], outputs, started)
-    return EXIT_OK
+    return config, job
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def _cmd_fit(args) -> int:
-    started = time.monotonic()
+def _fit(args):
     user = _load_config(args.config)
     if args.fixed:
         user["fixed"] = _load_config(args.fixed)
@@ -504,47 +472,40 @@ def _cmd_fit(args) -> int:
         with _at("/fixed"):
             fixed = _build(SystemParams, SYSTEM, config["fixed"])
             steady.empty_cavity_reference(fixed)
-    if args.dump_config:
-        return _dump_config_and_exit(config)
 
-    derived = {}
-    if recipe == "ringdown-tail":
-        trace = dataio.read_trace_csv(data_path)
-        result = estimation.fit_ringdown_tail(trace, config["tail_start_ns"] * 1e-9)
-        rate = result["rate"]
-        derived = {
-            "photon_lifetime_ns": 1e9 / rate,
-            "kappa": rate_to_json(rate / 2.0),
-        }
-    elif recipe == "exponential":
-        spectrum = dataio.read_spectrum_csv(data_path)
-        # x column is interpreted as time in ms for this recipe
-        times = spectrum.deltas / from_two_pi_mhz(1.0) * 1e-3
-        result = estimation.fit_exponential_recovery(times, spectrum.values)
-        derived = {"lifetime_ms": result["lifetime"] * 1e3}
-    else:
-        spectrum = dataio.read_spectrum_csv(data_path)
-        if recipe == "lorentzian":
-            result = estimation.fit_empty_cavity(
-                spectrum, float_center=config["float_center"]
-            )
-            derived = {"kappa": rate_to_json(result["kappa"])}
+    def job(out: Outputs):
+        if recipe == "ringdown-tail":
+            trace = dataio.read_trace_csv(data_path)
+            result = estimation.fit_ringdown_tail(trace, config["tail_start_ns"] * 1e-9)
+            rate = result["rate"]
+            derived = {"photon_lifetime_ns": 1e9 / rate, "kappa": rate_to_json(rate / 2.0)}
+        elif recipe == "exponential":
+            spectrum = dataio.read_spectrum_csv(data_path)
+            # x column is interpreted as time in ms for this recipe
+            times = spectrum.deltas / from_two_pi_mhz(1.0) * 1e-3
+            result = estimation.fit_exponential_recovery(times, spectrum.values)
+            derived = {"lifetime_ms": result["lifetime"] * 1e3}
         else:
-            result = estimation.fit_rabi_g(spectrum, fixed)
-            derived = {"g": rate_to_json(result["g"])}
+            spectrum = dataio.read_spectrum_csv(data_path)
+            if recipe == "lorentzian":
+                result = estimation.fit_empty_cavity(
+                    spectrum, float_center=config["float_center"]
+                )
+                derived = {"kappa": rate_to_json(result["kappa"])}
+            else:
+                result = estimation.fit_rabi_g(spectrum, fixed)
+                derived = {"g": rate_to_json(result["g"])}
+        out.report("fit_result.json", {**result.as_dict(), "derived": derived})
+        return (EXIT_OK if result.converged else EXIT_NUMERIC), [data_path]
 
-    outputs = []
-    _report(outputs, args.out, "fit_result.json", {**result.as_dict(), "derived": derived})
-    _write_manifest("fit", config, [data_path], outputs, started)
-    return EXIT_OK if result.converged else EXIT_NUMERIC
+    return config, job
 
 
 # ---------------------------------------------------------------------------
 # mode-solve
 
 
-def _cmd_mode_solve(args) -> int:
-    started = time.monotonic()
+def _mode_solve(args):
     config = _resolve(MODE_SOLVE, _load_config(args.config), args)
     fiber_doc, fiber_schema = config["fiber"], MODE_SOLVE["fiber"]
     numerical_aperture = fiber_doc.pop("numerical_aperture")
@@ -570,45 +531,42 @@ def _cmd_mode_solve(args) -> int:
                 2.0 * np.pi * C / (atom_doc["transition_wavelength_nm"] * NM)
             ),
         )
-    if args.dump_config:
-        return _dump_config_and_exit(config)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mode = fibermode.solve_fundamental_mode(fiber)
-    lp01 = fibermode.solve_lp01(fiber)
-    volume = fibermode.mode_volume(mode, geom)
-    g_est = fibermode.coupling_rate(atom, volume, 1.0)
-    report = {
-        "n_eff": mode.n_eff,
-        "lp01_n_eff": lp01,
-        "lp01_relative_difference": abs(mode.n_eff - lp01) / lp01,
-        "v_number": fiber.v_number,
-        "single_mode": fiber.v_number < fibermode.SINGLE_MODE_V_LIMIT,
-        "effective_area_um2": mode.effective_area * 1e12,
-        "mode_volume_um3": volume * 1e18,
-        "g_est": rate_to_json(g_est),
-        "tail_truncation_area_um2": mode.tail_truncation_error * 1e12,
-        "warnings": [str(w.message) for w in caught],
-    }
-    outputs = []
-    _report(outputs, args.out, "mode_solution.json", report)
-    _write_manifest("mode-solve", config, [], outputs, started)
-    return EXIT_OK
+    def job(out: Outputs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mode = fibermode.solve_fundamental_mode(fiber)
+        lp01 = fibermode.solve_lp01(fiber)
+        volume = fibermode.mode_volume(mode, geom)
+        g_est = fibermode.coupling_rate(atom, volume, 1.0)
+        out.report("mode_solution.json", {
+            "n_eff": mode.n_eff,
+            "lp01_n_eff": lp01,
+            "lp01_relative_difference": abs(mode.n_eff - lp01) / lp01,
+            "v_number": fiber.v_number,
+            "single_mode": fiber.v_number < fibermode.SINGLE_MODE_V_LIMIT,
+            "effective_area_um2": mode.effective_area * 1e12,
+            "mode_volume_um3": volume * 1e18,
+            "g_est": rate_to_json(g_est),
+            "tail_truncation_area_um2": mode.tail_truncation_error * 1e12,
+            "warnings": [str(w.message) for w in caught],
+        })
+        return EXIT_OK, []
+
+    return config, job
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
 
-def _cmd_experiment(args) -> int:
-    started = time.monotonic()
+def _experiment(args):
     config = _resolve(EXPERIMENT, _load_config(args.config), args)
     with _at("/system"):
         system = _build(SystemParams, SYSTEM, config["system"])
         steady.empty_cavity_reference(system)
     doc, schema = config["sequence"], EXPERIMENT["sequence"]
-    n_sequences = config["sequences"]
+    n_sequences, seed = config["sequences"], config["seed"]
     with _at("/sequence"):
         probes = {
             key: _build(experiment.ProbeConfig, schema[key], doc[key])
@@ -622,58 +580,82 @@ def _cmd_experiment(args) -> int:
     detunings = _detuning_grid(d_min, d_max, config["detunings"]["points"])
     with _at("/detunings/points"):
         dataio.detuning_keys(detunings)
-    if args.dump_config:
-        return _dump_config_and_exit(config)
 
-    seed = config["seed"]
-    ensemble = experiment.run_ensemble(
-        system, sequence, detunings, n_sequences, base_seed=seed
-    )
-    outputs = []
-    dataio.write_events_jsonl(_output(outputs, args.out, "events.jsonl"), ensemble)
-
-    occupancy = experiment.level_occupancy(ensemble)
-    summary = {
-        "sequences": n_sequences,
-        "seed": seed,
-        "level_occupancy": {str(k): v for k, v in occupancy.items()},
-        "level_probability": {
-            str(k): (v / n_sequences if n_sequences else 0.0)
-            for k, v in occupancy.items()
-        },
-        "fits": {},
-    }
-    series = []
-    spectra = experiment.accumulate_spectra(ensemble, system, sequence)
-    for level, spectrum in sorted(spectra.items()):
-        dataio.write_spectrum_csv(
-            _output(outputs, args.out, f"spectrum_level_{level}.csv"), spectrum
+    def job(out: Outputs):
+        ensemble = experiment.run_ensemble(
+            system, sequence, detunings, n_sequences, base_seed=seed
         )
-        series.append((f"level {level}", spectrum.deltas, spectrum.values))
-        if len(spectrum) >= 3 and occupancy[level] >= 5:
-            # level 1 is the empty cavity; higher levels fit g
-            try:
-                if level == 1:
-                    name, fit = "kappa", estimation.fit_empty_cavity(spectrum)
-                else:
-                    name, fit = "g", estimation.fit_rabi_g(spectrum, system)
-                summary["fits"][str(level)] = {
-                    **fit.as_dict(), "derived": {name: rate_to_json(fit[name])}
-                }
-            except (ParameterError, estimation.FitError) as exc:
-                summary["fits"][str(level)] = {"error": str(exc)}
-    if not n_sequences:
-        summary["note"] = "no sequences requested; outputs are empty"
+        dataio.write_events_jsonl(out.path("events.jsonl"), ensemble)
 
-    if args.plot and series:
-        svg = _transmission_chart(series, "Per-level normalized spectra")
-        dataio.atomic_write_text(_output(outputs, args.out, "spectra_by_level.svg"), svg)
-    dataio.atomic_write_text(_output(outputs, args.out, "summary.json"), dataio.json_text(summary))
-    _write_manifest("experiment", config, [], outputs, started)
-    return EXIT_OK
+        occupancy = experiment.level_occupancy(ensemble)
+        summary = {
+            "sequences": n_sequences,
+            "seed": seed,
+            "level_occupancy": {str(k): v for k, v in occupancy.items()},
+            "level_probability": {
+                str(k): (v / n_sequences if n_sequences else 0.0)
+                for k, v in occupancy.items()
+            },
+            "fits": {},
+        }
+        series = []
+        spectra = experiment.accumulate_spectra(ensemble, system, sequence)
+        for level, spectrum in sorted(spectra.items()):
+            dataio.write_spectrum_csv(out.path(f"spectrum_level_{level}.csv"), spectrum)
+            series.append((f"level {level}", spectrum.deltas, spectrum.values))
+            if len(spectrum) >= 3 and occupancy[level] >= 5:
+                # level 1 is the empty cavity; higher levels fit g
+                try:
+                    if level == 1:
+                        name, fit = "kappa", estimation.fit_empty_cavity(spectrum)
+                    else:
+                        name, fit = "g", estimation.fit_rabi_g(spectrum, system)
+                    summary["fits"][str(level)] = {
+                        **fit.as_dict(), "derived": {name: rate_to_json(fit[name])}
+                    }
+                except (ParameterError, estimation.FitError) as exc:
+                    summary["fits"][str(level)] = {"error": str(exc)}
+        if not n_sequences:
+            summary["note"] = "no sequences requested; outputs are empty"
+
+        if args.plot and series:
+            svg = _transmission_chart(series, "Per-level normalized spectra")
+            out.text("spectra_by_level.svg", svg)
+        out.text("summary.json", dataio.json_text(summary))
+        return EXIT_OK, []
+
+    return config, job
 
 
 # ---------------------------------------------------------------------------
+# the runner
+
+
+def _run(args) -> int:
+    """Run one subcommand: its prepare step resolves and checks the config and
+    returns it with a job; ``--dump-config`` prints the config instead of
+    running the job. The job writes the outputs and returns (exit code,
+    inputs); a ``<first output>.manifest.json`` then records the run."""
+    started = _seconds()
+    config, job = args.prepare(args)
+    if args.dump_config:
+        print(dataio.json_text(config), end="")
+        return EXIT_OK
+    out = Outputs(args.out)
+    code, inputs = job(out)
+    manifest = dataio.RunManifest(
+        subcommand=args.subcommand, config=config, seed=config["seed"],
+        inputs=[str(p) for p in inputs], outputs=out.paths,
+        tool_version=__version__, numpy_version=np.__version__,
+        python_version="%d.%d.%d" % sys.version_info[:3], duration_s=_seconds(started),
+    )
+    dataio.write_manifest(out.paths[0] + ".manifest.json", manifest)
+    return code
+
+
+def _seconds(since: float = 0.0) -> float:
+    """The run's clock: monotonic seconds, less ``since``."""
+    return time.monotonic() - since
 
 
 def _comma_floats(text: str) -> list:
@@ -705,18 +687,31 @@ def _add_flags(parser, schema: dict, pointer: str = ""):
             parser.add_argument(flag, help=f"overrides {where}", **options)
 
 
-def _add_common(parser, *schemas, plot=False):
-    parser.add_argument("--config", help="JSON config document")
-    parser.add_argument("--out", default=".", help="output directory")
-    if plot:
-        parser.add_argument("--plot", action="store_true", help="emit SVG plot(s)")
-    parser.add_argument(
-        "--dump-config",
-        action="store_true",
-        help="print the fully resolved config and exit",
-    )
-    for schema in schemas:
-        _add_flags(parser, schema)
+class Subcommand(NamedTuple):
+    """One subcommand's parser entry: its help line, its prepare step (see
+    ``_run``), the field tables whose flags it takes, whether it takes
+    ``--plot``, and its other flags as (flag, action, help)."""
+
+    help: str
+    prepare: Callable
+    schemas: tuple
+    plot: bool = False
+    flags: tuple = ()
+
+
+SUBCOMMANDS = {
+    "spectrum": Subcommand("steady-state transmission spectrum", _spectrum, (SPECTRUM,), True),
+    "ringdown": Subcommand("reflection ring-down traces", _ringdown, (RINGDOWN,), True, (
+        ("--triptych", "store_true", "three-panel under/critical/over comparison SVG"),
+        ("--compare", "store_true", "report max deviation between analytic and integrated"),
+    )),
+    "fit": Subcommand("run a fit recipe on a CSV file", _fit, (FIT, *FIT_RECIPE_FIELDS.values()),
+                      flags=(("--fixed", "store", "JSON file with fixed parameters (rabi-g)"),)),
+    "mode-solve": Subcommand(
+        "fiber fundamental mode and coupling estimate", _mode_solve, (MODE_SOLVE,)
+    ),
+    "experiment": Subcommand("Monte Carlo measurement pipeline", _experiment, (EXPERIMENT,), True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -726,32 +721,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spectrum", help="steady-state transmission spectrum")
-    _add_common(p, SPECTRUM, plot=True)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("ringdown", help="reflection ring-down traces")
-    _add_common(p, RINGDOWN, plot=True)
-    p.add_argument("--triptych", action="store_true",
-                   help="three-panel under/critical/over comparison SVG")
-    p.add_argument("--compare", action="store_true",
-                   help="report max deviation between analytic and integrated")
-    p.set_defaults(func=_cmd_ringdown)
-
-    p = sub.add_parser("fit", help="run a fit recipe on a CSV file")
-    _add_common(p, FIT, *FIT_RECIPE_FIELDS.values())
-    p.add_argument("--fixed", help="JSON file with fixed parameters (rabi-g)")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("mode-solve", help="fiber fundamental mode and coupling estimate")
-    _add_common(p, MODE_SOLVE)
-    p.set_defaults(func=_cmd_mode_solve)
-
-    p = sub.add_parser("experiment", help="Monte Carlo measurement pipeline")
-    _add_common(p, EXPERIMENT, plot=True)
-    p.set_defaults(func=_cmd_experiment)
-
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config document")
+        p.add_argument("--out", default=".", help="output directory")
+        if command.plot:
+            p.add_argument("--plot", action="store_true", help="emit SVG plot(s)")
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the fully resolved config and exit")
+        for schema in command.schemas:
+            _add_flags(p, schema)
+        for flag, action, text in command.flags:
+            p.add_argument(flag, action=action, help=text)
+        p.set_defaults(prepare=command.prepare)
     return parser
 
 
@@ -759,7 +741,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -774,6 +756,7 @@ def main(argv=None) -> int:
         fibermode.NoGuidedModeError,
         estimation.FitError,
         svgplot.PlotError,
+        experiment.SeedReplayError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -321,12 +321,28 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _sequence_streams(base_seed: int, start: int, stop: int) -> list:
-    """The streams ``sequence_rng(base_seed, i)`` for i in [start, stop), in one replay."""
-    from numpy.random import PCG64, Generator
+class SeedReplayError(RuntimeError):
+    """numpy seeds the streams otherwise than ``_stream_words`` replays it."""
 
+
+def _sequence_streams(base_seed: int, start: int, stop: int) -> list:
+    """The streams ``sequence_rng(base_seed, i)`` for i in [start, stop), in one replay.
+
+    The block that starts at sequence 0 checks its first row against numpy's
+    own ``SeedSequence`` and raises SeedReplayError before any draw if they differ.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    words = _stream_words(base_seed, start, stop)
+    if start == 0 and len(words):
+        reference = SeedSequence(int(base_seed), spawn_key=(0,)).generate_state(4, np.uint64)
+        if not np.array_equal(words[0], reference):
+            raise SeedReplayError(
+                f"numpy {np.__version__} seeds sequence 0 otherwise than the replay of "
+                "its SeedSequence in run_ensemble; the outputs would not be reproducible"
+            )
     seed_words = _seed_words_type()
-    return [Generator(PCG64(seed_words(row))) for row in _stream_words(base_seed, start, stop)]
+    return [Generator(PCG64(seed_words(row))) for row in words]
 
 
 # numpy's Poisson sampler refuses a mean above 9.223372006484771e18; the

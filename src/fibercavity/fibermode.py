@@ -139,12 +139,16 @@ class ModeSolution:
         return float(out[0]) if r.ndim == 0 else out
 
 
-def _he11_residual_u(u: float, fiber: FiberSpec) -> float:
+def _he11_residual_u(u, fiber: FiberSpec):
     """Residual of the nu = 1 full vector characteristic equation at core
-    parameter u (with w = sqrt(V^2 - u^2)); u-space keeps the root O(1)."""
+    parameter u (with w = sqrt(V^2 - u^2)); u-space keeps the root O(1).
+
+    ``u`` is a float, or an array of them for the scan of
+    ``solve_fundamental_mode``, which only looks for the first sign change.
+    """
     from scipy.special import jv, jvp, kv, kvp
 
-    w = math.sqrt(max(fiber.v_number**2 - u**2, 0.0))
+    w = np.sqrt(np.maximum(fiber.v_number**2 - u**2, 0.0))
     rho = (fiber.n_clad / fiber.n_core) ** 2
     j = jvp(1, u) / (u * jv(1, u))
     k = kvp(1, w) / (w * kv(1, w))
@@ -307,7 +311,7 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
     # Scan in u, where the fundamental root stays O(1); small u means n_eff
     # near n_core, so the fundamental is the crossing at the smallest u.
     grid = np.linspace(1e-6 * v, v * (1.0 - 1e-9), 2000)
-    residuals = np.array([_he11_residual_u(x, fiber) for x in grid])
+    residuals = _he11_residual_u(grid, fiber)
     finite = np.isfinite(residuals)
     signs = np.sign(residuals)
     crossings = np.nonzero(

@@ -18,7 +18,9 @@ solution is a pair of exponentials:
 
 and |s_out|^2 = |2 kappa2/kappa - 1|^2 s0^2 in the steady state (t < 0). The
 pre-switch reflection vanishes exactly at critical coupling, and every trace
-decays at rate 2 kappa once t >> 1/(kappa_s - kappa).
+decays at rate 2 kappa once t >> 1/(kappa_s - kappa). Since kappa2 <= kappa and
+1 - e^{-x} <= x, the field stays between 0 and (1 + 1/e) times its steady
+state sqrt(2 kappa2) s0 / kappa, and s_out between -s0 and 2 (1 + 1/e) s0.
 
 The same equation is integrated numerically as an independent cross-check of
 the closed form, by ``_dop853``: a port of scipy.integrate's adaptive
@@ -73,6 +75,13 @@ class RingdownParams:
             )
         if not self.s0 > 0.0:
             raise ParameterError("s0 must be positive")
+        # |s_out| < 3 s0 and a < 2 sqrt(2 kappa2) s0 / kappa at every t (module docstring)
+        peak, steady = 3.0 * self.s0, math.sqrt(2.0 * self.kappa2) * self.s0 / self.kappa
+        if not (math.isfinite(peak * peak) and math.isfinite(2.0 * steady)):
+            raise ParameterError(
+                f"s0 = {self.s0:.4g} overflows the reflected intensity or the cavity field",
+                field="s0",
+            )
 
 
 @dataclass(frozen=True)
@@ -160,8 +169,6 @@ def integrate_ringdown(params: RingdownParams, t_grid) -> RingdownTrace:
     )
     root2k2 = math.sqrt(2.0 * kappa2)
     steady = root2k2 * s0 / kappa
-    if not math.isfinite(steady):
-        raise ParameterError(f"s0 = {s0:.4g} overflows the steady-state field")
     rtol = 1e-9
 
     def s_in(t):

@@ -13,7 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fibercavity import SystemParams, fibermode, from_two_pi_mhz, normalized_transmission
+from fibercavity import (
+    SystemParams, experiment, fibermode, from_two_pi_mhz, normalized_transmission,
+)
 from fibercavity.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fibercavity.dataio import (
     DataFormatError,
@@ -323,6 +325,22 @@ def test_experiment_outputs_and_replay(tmp_path):
         assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
 
 
+def test_a_numpy_whose_seeding_the_replay_misses_fails_before_writing(
+    tmp_path, monkeypatch, capsys
+):
+    # a changed hash constant stands in for a numpy that seeds otherwise
+    monkeypatch.setattr(experiment, "_INIT_A", experiment._INIT_A ^ 1)
+    out = tmp_path / "out"
+    argv = ("experiment", "--out", str(out), "--seed", "3", "--sequences", "20")
+    assert run_cli(*argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"numerical failure: numpy {np.__version__} seeds ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+    monkeypatch.undo()
+    assert run_cli(*argv) == EXIT_OK
+
+
 def test_spectrum_manifest_replays_byte_identically(tmp_path):
     out1 = tmp_path / "s1"
     assert run_cli(
@@ -370,6 +388,62 @@ def test_dump_config_prints_and_writes_nothing(tmp_path, capsys):
     assert doc["seed"] == 5
     assert doc["grid"]["points"] == 501
     assert not out.exists()
+    for argv in (
+        ["ringdown", "--compare", "--triptych", "--plot"],
+        ["fit", "--recipe", "rabi-g", "--data", str(tmp_path / "absent.csv")],
+        ["mode-solve"],
+        ["experiment", "--plot"],
+    ):
+        assert run_cli(*argv, "--out", str(out), "--seed", "5", "--dump-config") == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["seed"] == 5, argv
+        assert captured.err == ""
+        assert not out.exists()
+
+
+def test_the_manifest_lists_every_output_in_the_order_written(tmp_path, monkeypatch):
+    deltas = np.linspace(-25.0, 25.0, 101) * TW
+    params = SystemParams(
+        kappa1=0.12 * TW, kappa2=3.08 * TW, kappa_loss=3.2 * TW, gamma=2.6 * TW, g=7.8 * TW,
+    )
+    data = {"empty": tmp_path / "empty.csv", "rabi": tmp_path / "rabi.csv",
+            "recovery": tmp_path / "recovery.csv", "trace": tmp_path / "trace.csv"}
+    data["empty"].write_text(spectrum_to_csv(
+        Spectrum(deltas, normalized_transmission(params.with_g(0.0), deltas))
+    ))
+    data["rabi"].write_text(spectrum_to_csv(
+        Spectrum(deltas, normalized_transmission(params, deltas))
+    ))
+    times_ms = np.linspace(0.0, 50.0, 12)
+    data["recovery"].write_text(spectrum_to_csv(
+        Spectrum(times_ms * TW, 1.0 - 0.85 * np.exp(-times_ms / 11.0))
+    ))
+    times = np.linspace(20e-9, 250e-9, 301)
+    data["trace"].write_text(trace_to_csv(RingdownTrace(times, np.exp(-2 * 6.4 * TW * times))))
+    calls = [
+        (["spectrum", "--plot", "--g-list-mhz", "1.3,4.3,7.8"], None),
+        (["ringdown", "--compare", "--triptych", "--plot"], None),
+        (["fit", "--recipe", "lorentzian"], "empty"),
+        (["fit", "--recipe", "rabi-g"], "rabi"),
+        (["fit", "--recipe", "exponential"], "recovery"),
+        (["fit", "--recipe", "ringdown-tail", "--tail-start-ns", "25"], "trace"),
+        (["mode-solve"], None),
+        (["experiment", "--plot", "--sequences", "200"], None),
+    ]
+    # every output is written to a temporary file and renamed onto its path
+    written, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (written.append(dst), replace(src, dst)))
+    for i, (argv, name) in enumerate(calls):
+        out = tmp_path / f"out{i}"
+        inputs = [] if name is None else ["--data", str(data[name])]
+        written.clear()
+        assert run_cli(*argv, *inputs, "--out", str(out), "--seed", "1") == EXIT_OK, argv
+        *outputs, manifest_path = written
+        assert manifest_path == outputs[0] + ".manifest.json", argv
+        manifest = load_manifest(outputs[0])
+        assert manifest["outputs"] == outputs, argv
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written), argv
+        assert manifest["inputs"] == inputs[1:], argv
 
 
 def test_bad_config_reports_json_pointer(tmp_path, capsys):
@@ -525,25 +599,50 @@ def test_bad_numbers_rejected_before_running(tmp_path, capsys, subcommand, confi
     assert not out.exists()
 
 
+def cli_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI run in a fresh interpreter that shows every warning on stderr."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fibercavity.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_vanishing_rates_print_only_the_config_error(tmp_path):
     # T(0) is 0/0 here; numpy's warning about it must not reach stderr
     tiny = {"value": 1e-300, "unit": "rad_per_s"}
     system = {name: tiny for name in ("kappa1", "kappa2", "gamma", "kappa_loss")}
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"system": system}))
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONWARNINGS="default")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fibercavity.cli", "spectrum", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = cli_process("spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: /system: "), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+@pytest.mark.parametrize("method", ["analytic", "integrate", "both"])
+@pytest.mark.parametrize("s0", [1e300, 1e305])
+def test_a_ringdown_drive_whose_intensity_overflows_is_refused_before_running(
+    tmp_path, s0, method, dump
+):
+    # numpy's overflow warnings used to come first, then a data format error
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"ringdown": {"s0": s0}}))
+    out = tmp_path / "out"
+    proc = cli_process(
+        "ringdown", "--config", str(cfg), "--method", method, "--out", str(out), *dump
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"config error: /ringdown/s0: s0 = {s0:.4g} overflows ")
+    assert not out.exists()
 
 
 def test_non_finite_flag_and_negative_seed_are_config_errors(tmp_path, capsys):

@@ -253,6 +253,25 @@ def test_mode_solutions_are_bit_identical_to_scipy(monkeypatch):
         assert results[0] == results[1]
 
 
+def first_crossing(residuals):
+    """The index ``solve_fundamental_mode`` brackets: the first sign change
+    between finite residuals."""
+    finite = np.isfinite(residuals)
+    return np.nonzero((np.diff(np.sign(residuals)) != 0) & finite[:-1] & finite[1:])[0][0]
+
+
+def test_the_array_scan_finds_the_crossing_of_the_scalar_residual():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        fiber = random_fiber(rng)
+        v = fiber.v_number
+        grid = np.linspace(1e-6 * v, v * (1.0 - 1e-9), 2000)
+        scalar = [fibermode._he11_residual_u(float(u), fiber) for u in grid]
+        assert first_crossing(fibermode._he11_residual_u(grid, fiber)) == first_crossing(
+            np.array(scalar)
+        )
+
+
 def test_simpson_is_bit_identical_to_scipy():
     rng = np.random.default_rng(7)
     for n in (3, 5, 7, 31, 4097):
