@@ -3,16 +3,17 @@
 Subcommands: spectrum | ringdown | fit | mode-solve | experiment. Every
 subcommand reads one JSON config document (all fields optional, defaults
 documented by ``--dump-config``) and lets flags override config fields. One
-field table per subcommand declares each field's kind, default, bounds, unit
-and overriding flag; ``_resolve`` turns the document plus flags into the
-resolved document, which ``--dump-config`` prints, the manifest records and
-the subcommand then runs from. Each subcommand is a prepare step, which
-resolves and checks its config before anything runs and returns it with a
-job; ``_run`` owns the rest: the clock, the ``--dump-config`` exit, the
-``Outputs`` the job writes atomically, and the ``<first output>.manifest.json``
-holding the resolved config, seed and tool version, so re-running with a
-manifest's config reproduces the outputs byte-identically. ``SUBCOMMANDS``
-builds the parser, one entry per subcommand.
+field table per subcommand declares each field's kind, unit and flag; where a
+library class builds the field, its default and bounds are the library's (see
+``_owned``), and the class's constructor checks them. ``_resolve`` turns the
+document plus flags into the resolved document, which ``--dump-config``
+prints, the manifest records and the subcommand runs from. Each subcommand is
+a prepare step, which resolves and checks its config before anything runs and
+returns it with a job; ``_run`` owns the rest: the clock, the
+``--dump-config`` exit, the ``Outputs`` the job writes atomically, and the
+``<first output>.manifest.json`` holding the resolved config, seed and tool
+version, so re-running with a manifest's config reproduces the outputs
+byte-identically. ``SUBCOMMANDS`` builds the parser, one entry per subcommand.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure
 (non-convergence, no root, integration failure, a numpy whose seeding the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from . import dataio, estimation, experiment, fibermode, ringdown, steady, svgplot
 from .dataio import unit_exact_value
-from .constants import C, CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH
+from .constants import CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH
 from .ringdown import IntegrationError, RingdownParams
 from .units import (
     CavityGeometry,
@@ -71,6 +73,9 @@ NUMBER, INTEGER, RATE, BOOL, CHOICE, NUMBERS, PATH = (
 )
 REQUIRED = object()
 NM, UM = 1e-9, 1e-6
+# The default of every wavelength field: 852.34727582 nm, whose SI value is
+# one ulp above the library's CS_D2_WAVELENGTH. No nm double multiplies back
+# to that constant, and the goldens and pins were taken with this value.
 D2_NM = CS_D2_WAVELENGTH * 1e9
 
 
@@ -83,8 +88,10 @@ class Field(NamedTuple):
     ``{value, unit}`` object and resolves to rad/s, which survives the JSON
     round trip bit-exactly. A number with a ``scale`` (its SI factor)
     resolves to the double that multiplies back to the same SI value.
-    ``attr`` names the library attribute the field builds (see ``_build``)
-    where that differs from its key.
+    ``attr`` names the library attribute the field builds (see ``_build``).
+    ``_read`` checks the ``minimum`` of a field that no library class owns.
+    An ``owned`` field (see ``_owned``) takes its default and bounds from the
+    library, which checks them when ``_build`` runs.
     """
 
     kind: str
@@ -95,6 +102,25 @@ class Field(NamedTuple):
     flag: str | None = None
     choices: tuple = ()
     attr: str | None = None
+    owned: bool = False
+
+
+def _owned(owner, attr: str, kind: str = NUMBER, default=None, scale=None, flag=None) -> Field:
+    """The field of argument ``attr`` of ``owner``, a library class or a
+    classmethod constructor of one. It carries the class's ``BOUNDS`` entry
+    for ``attr`` and, unless ``default`` is given, ``owner``'s default, both
+    in the field's units."""
+    if default is None:
+        default = inspect.signature(owner).parameters[attr].default
+        if kind == RATE:
+            default = {"value": default, "unit": "rad_per_s"}
+        elif kind == NUMBERS:
+            default = list(default)
+        elif scale is not None:
+            default = unit_exact_value(default, scale)
+    bound = getattr(owner, "__self__", owner).BOUNDS.get(attr, (-math.inf, math.inf))
+    limits = [v / (scale or 1.0) if math.isfinite(v) else None for v in bound[:2]]
+    return Field(kind, default, *limits, scale, flag, attr=attr, owned=True)
 
 
 def _rates(**defaults_two_pi_mhz) -> dict:
@@ -105,11 +131,12 @@ def _rates(**defaults_two_pi_mhz) -> dict:
 
 
 def _probe(power_w: float, duration_s: float) -> dict:
+    probe = experiment.ProbeConfig
     return {
-        "power_w": Field(NUMBER, power_w, minimum=0.0, attr="power"),
-        "duration_s": Field(NUMBER, duration_s, minimum=0.0, attr="duration"),
-        **_rates(detuning=0.0),
-        "wavelength_nm": Field(NUMBER, D2_NM, scale=NM, attr="wavelength"),
+        "power_w": _owned(probe, "power", default=power_w),
+        "duration_s": _owned(probe, "duration", default=duration_s),
+        "detuning": _owned(probe, "detuning", RATE),
+        "wavelength_nm": _owned(probe, "wavelength", default=D2_NM, scale=NM),
     }
 
 
@@ -128,8 +155,9 @@ SPECTRUM = {
 }
 RINGDOWN = {
     "ringdown": {
-        **_rates(kappa1=0.12, kappa2=3.08, kappa_loss=3.2, kappa_s=50.0),
-        "s0": Field(NUMBER, 1.0),
+        **{name: SYSTEM[name] for name in ("kappa1", "kappa2", "kappa_loss")},
+        "kappa_s": _owned(RingdownParams, "kappa_s", RATE),
+        "s0": _owned(RingdownParams, "s0"),
     },
     "grid": {
         "t_min_ns": Field(NUMBER, -20.0, flag="t_min_ns"),
@@ -153,41 +181,42 @@ FIT_RECIPE_FIELDS = {
     "exponential": {},
     "ringdown-tail": {"tail_start_ns": Field(NUMBER, 0.0, flag="tail_start_ns")},
 }
+FIBER, ATOM = fibermode.FiberSpec.from_numerical_aperture, fibermode.AtomSpec.from_wavelength
 MODE_SOLVE = {
     "fiber": {
-        "core_radius_um": Field(NUMBER, 2.8, minimum=0.0, scale=UM, attr="core_radius"),
-        "wavelength_nm": Field(NUMBER, D2_NM, minimum=1.0, scale=NM, attr="wavelength"),
+        "core_radius_um": _owned(FIBER, "core_radius", scale=UM),
+        "wavelength_nm": _owned(FIBER, "wavelength", default=D2_NM, scale=NM),
         # read only when n_core and n_clad are absent; resolves into them
-        "numerical_aperture": Field(NUMBER, 0.12, minimum=0.0),
+        "numerical_aperture": _owned(FIBER, "numerical_aperture"),
         "n_core": Field(NUMBER),
         "n_clad": Field(NUMBER),
     },
     "cavity": {
-        "length_m": Field(NUMBER, 0.33, minimum=1e-6, attr="length"),  # ~ one wavelength
-        "effective_index": Field(NUMBER, 1.45),
+        "length_m": _owned(CavityGeometry, "length", default=0.33),
+        "effective_index": _owned(CavityGeometry, "effective_index", default=1.45),
     },
     "atom": {
-        "dipole_moment_cm": Field(NUMBER, CS_D2_CYCLING_DIPOLE),
-        "transition_wavelength_nm": Field(NUMBER, D2_NM, minimum=1.0, scale=NM),
+        "dipole_moment_cm": _owned(ATOM, "dipole_moment", default=CS_D2_CYCLING_DIPOLE),
+        "transition_wavelength_nm": _owned(ATOM, "transition_wavelength", default=D2_NM, scale=NM),
     },
     "seed": SEED,
 }
+SEQUENCE = experiment.SequenceConfig
 EXPERIMENT = {
     "system": SYSTEM,
     "sequence": {
-        "load_probability": Field(
-            NUMBER, 0.3, minimum=0.0, maximum=1.0, flag="load_probability"
-        ),
-        **_rates(g_max=7.8),
+        "load_probability": _owned(SEQUENCE, "load_probability", default=0.3,
+                                   flag="load_probability"),
+        "g_max": _owned(SEQUENCE, "g_max", RATE, default=SYSTEM["g"].default),
         "detection": _probe(0.8e-12, 2e-3),
         "spectroscopy": _probe(0.4e-12, 5e-3),
-        "background_rate_cps": Field(NUMBER, 1e4, minimum=0.0, attr="background_rate"),
-        "detector_efficiency": Field(NUMBER, 0.5, minimum=0.0, maximum=1.0),
-        "trap_lifetime_s": Field(NUMBER, 11e-3, minimum=0.0, attr="trap_lifetime"),
-        "hold_time_s": Field(NUMBER, 0.0, minimum=0.0, attr="hold_time"),
-        "bin_edges": Field(NUMBERS, list(experiment.DEFAULT_BIN_EDGES)),
-        "poisson_loading": Field(BOOL, False),
-        "normalization_drift": Field(NUMBER, 0.0),
+        "background_rate_cps": _owned(SEQUENCE, "background_rate"),
+        "detector_efficiency": _owned(SEQUENCE, "detector_efficiency"),
+        "trap_lifetime_s": _owned(SEQUENCE, "trap_lifetime"),
+        "hold_time_s": _owned(SEQUENCE, "hold_time"),
+        "bin_edges": _owned(SEQUENCE, "bin_edges", NUMBERS),
+        "poisson_loading": _owned(SEQUENCE, "poisson_loading", BOOL),
+        "normalization_drift": _owned(SEQUENCE, "normalization_drift"),
     },
     "detunings": {**_rates(min=-25.0, max=25.0), "points": Field(INTEGER, 21, minimum=1)},
     "sequences": Field(INTEGER, 1000, minimum=0, flag="sequences"),
@@ -236,10 +265,8 @@ def _read(field: Field, value, where: str):
             _fail(where, f"expected integer, got {value!r}")
     else:
         value = _number(value, where)
-    if field.minimum is not None and value < field.minimum:
+    if not field.owned and field.minimum is not None and value < field.minimum:
         _fail(where, f"must be >= {field.minimum}")
-    if field.maximum is not None and value > field.maximum:
-        _fail(where, f"must be <= {field.maximum}")
     if field.scale is not None:
         value = unit_exact_value(value * field.scale, field.scale)
     return value
@@ -275,21 +302,24 @@ def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:
 
 
 @contextlib.contextmanager
-def _at(pointer: str):
+def _at(pointer: str, schema: dict | None = None):
     """Report a ParameterError or DataFormatError from a resolved block at its
-    pointer, or below it at the error's ``field``."""
+    pointer, or below it at the error's ``field``: the key whose ``attr`` in
+    the block's ``schema`` is that library attribute, or the field itself."""
     try:
         yield
     except (ParameterError, dataio.DataFormatError) as exc:
         field = getattr(exc, "field", None)
-        where = pointer if field is None else f"{pointer}/{field}"
+        keys = {f.attr: key for key, f in (schema or {}).items() if isinstance(f, Field)}
+        where = pointer if field is None else f"{pointer}/{keys.get(field, field)}"
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build(cls, schema: dict, block: dict, **sub_objects):
+def _build(cls, schema: dict, block: dict, pointer: str, **sub_objects):
     """``cls`` called with each field of the resolved ``block`` under its
     ``attr`` (or key): a rate in rad/s, a number with a ``scale`` in SI units.
-    Nested blocks are skipped; ``sub_objects`` passes them already built."""
+    Nested blocks are skipped; ``sub_objects`` passes them already built. A
+    refusal is reported at the block's ``pointer`` (see ``_at``)."""
     kwargs = {}
     for key, value in block.items():
         field = schema[key]
@@ -299,7 +329,8 @@ def _build(cls, schema: dict, block: dict, **sub_objects):
             elif field.scale is not None:
                 value = value * field.scale
             kwargs[field.attr or key] = value
-    return cls(**kwargs, **sub_objects)
+    with _at(pointer, schema):
+        return cls(**kwargs, **sub_objects)
 
 
 def _load_config(path) -> dict:
@@ -358,8 +389,8 @@ def _transmission_chart(series, title: str) -> str:
 
 def _spectrum(args):
     config = _resolve(SPECTRUM, _load_config(args.config), args)
+    system = _build(SystemParams, SYSTEM, config["system"], "/system")
     with _at("/system"):
-        system = _build(SystemParams, SYSTEM, config["system"])
         steady.empty_cavity_reference(system)
     grid = config["grid"]
     if not grid["delta_max_mhz"] > grid["delta_min_mhz"]:
@@ -395,8 +426,8 @@ def _spectrum(args):
 
 def _ringdown(args):
     config = _resolve(RINGDOWN, _load_config(args.config), args)
+    params = _build(RingdownParams, RINGDOWN["ringdown"], config["ringdown"], "/ringdown")
     with _at("/ringdown"):
-        params = _build(RingdownParams, RINGDOWN["ringdown"], config["ringdown"])
         # --triptych panels: kappa2 under, at and over critical coupling
         other = params.kappa1 + params.kappa_loss
         panels = [
@@ -469,8 +500,8 @@ def _fit(args):
                 if getattr(args, field.flag) is not None:
                     _fail(f"/{key}", f"not a field of recipe {recipe}")
     if recipe == "rabi-g":
+        fixed = _build(SystemParams, SYSTEM, config["fixed"], "/fixed")
         with _at("/fixed"):
-            fixed = _build(SystemParams, SYSTEM, config["fixed"])
             steady.empty_cavity_reference(fixed)
 
     def job(out: Outputs):
@@ -509,28 +540,17 @@ def _mode_solve(args):
     config = _resolve(MODE_SOLVE, _load_config(args.config), args)
     fiber_doc, fiber_schema = config["fiber"], MODE_SOLVE["fiber"]
     numerical_aperture = fiber_doc.pop("numerical_aperture")
-    with _at("/fiber"):
-        if "n_core" in fiber_doc or "n_clad" in fiber_doc:
-            for key in ("n_core", "n_clad"):
-                if key not in fiber_doc:
-                    _fail(f"/fiber/{key}", "required with the other index")
-            fiber = _build(fibermode.FiberSpec, fiber_schema, fiber_doc)
-        else:
-            fiber = _build(
-                fibermode.FiberSpec.from_numerical_aperture, fiber_schema, fiber_doc,
-                numerical_aperture=numerical_aperture,
-            )
-            fiber_doc.update(n_core=fiber.n_core, n_clad=fiber.n_clad)
-    with _at("/cavity"):
-        geom = _build(CavityGeometry, MODE_SOLVE["cavity"], config["cavity"])
-    atom_doc = config["atom"]
-    with _at("/atom"):
-        atom = fibermode.AtomSpec(
-            dipole_moment=atom_doc["dipole_moment_cm"],
-            transition_angular_frequency=(
-                2.0 * np.pi * C / (atom_doc["transition_wavelength_nm"] * NM)
-            ),
-        )
+    if "n_core" in fiber_doc or "n_clad" in fiber_doc:
+        for key in ("n_core", "n_clad"):
+            if key not in fiber_doc:
+                _fail(f"/fiber/{key}", "required with the other index")
+        fiber = _build(fibermode.FiberSpec, fiber_schema, fiber_doc, "/fiber")
+    else:
+        fiber = _build(FIBER, fiber_schema, fiber_doc, "/fiber",
+                       numerical_aperture=numerical_aperture)
+        fiber_doc.update(n_core=fiber.n_core, n_clad=fiber.n_clad)
+    geom = _build(CavityGeometry, MODE_SOLVE["cavity"], config["cavity"], "/cavity")
+    atom = _build(ATOM, MODE_SOLVE["atom"], config["atom"], "/atom")
 
     def job(out: Outputs):
         with warnings.catch_warnings(record=True) as caught:
@@ -562,17 +582,17 @@ def _mode_solve(args):
 
 def _experiment(args):
     config = _resolve(EXPERIMENT, _load_config(args.config), args)
+    system = _build(SystemParams, SYSTEM, config["system"], "/system")
     with _at("/system"):
-        system = _build(SystemParams, SYSTEM, config["system"])
         steady.empty_cavity_reference(system)
     doc, schema = config["sequence"], EXPERIMENT["sequence"]
     n_sequences, seed = config["sequences"], config["seed"]
+    probes = {
+        key: _build(experiment.ProbeConfig, schema[key], doc[key], f"/sequence/{key}")
+        for key in ("detection", "spectroscopy")
+    }
+    sequence = _build(SEQUENCE, schema, doc, "/sequence", **probes)
     with _at("/sequence"):
-        probes = {
-            key: _build(experiment.ProbeConfig, schema[key], doc[key])
-            for key in ("detection", "spectroscopy")
-        }
-        sequence = _build(experiment.SequenceConfig, schema, doc, **probes)
         experiment.check_ensemble(system, sequence, n_sequences)
     d_min, d_max = (config["detunings"][k]["value"] for k in ("min", "max"))
     if not d_max >= d_min:

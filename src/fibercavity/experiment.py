@@ -25,22 +25,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import steady
 from .constants import C, CS_D2_WAVELENGTH, HBAR
 from .estimation import Spectrum
-from .units import ParameterError, SystemParams
-
-# Equal-width default bins over normalized detection transmission [0, 1].
-# The thresholds are a documented free choice; override via SequenceConfig.
-DEFAULT_BIN_EDGES = (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6)
+from .units import (
+    NON_NEGATIVE, POSITIVE, WAVELENGTH, Bound, Bounded, ParameterError, SystemParams
+)
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(Bounded):
     """One probe pulse: optical power (W), duration (s), detuning (rad/s)."""
 
     power: float
@@ -48,13 +46,7 @@ class ProbeConfig:
     detuning: float = 0.0
     wavelength: float = CS_D2_WAVELENGTH
 
-    def __post_init__(self):
-        if not self.power > 0.0:
-            raise ParameterError("probe power must be positive")
-        if not self.duration > 0.0:
-            raise ParameterError("probe duration must be positive")
-        if not self.wavelength > 0.0:
-            raise ParameterError("probe wavelength must be positive")
+    BOUNDS = {"power": POSITIVE, "duration": POSITIVE, "wavelength": WAVELENGTH}
 
     @property
     def photon_flux(self) -> float:
@@ -64,7 +56,7 @@ class ProbeConfig:
 
 
 @dataclass(frozen=True)
-class SequenceConfig:
+class SequenceConfig(Bounded):
     """Knobs of one measurement sequence (see module docstring)."""
 
     load_probability: float
@@ -75,15 +67,24 @@ class SequenceConfig:
     detector_efficiency: float = 0.5
     trap_lifetime: float = 11e-3  # s
     hold_time: float = 0.0  # s, between detection and spectroscopy
-    bin_edges: tuple = field(default=DEFAULT_BIN_EDGES)
+    # equal-width bins over normalized detection transmission [0, 1], a documented free choice
+    bin_edges: tuple = (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6)
     poisson_loading: bool = False
     # fractional signal-gain change per sequence; models slow setup drift
     # that the (fixed) normalization does not track. 0 disables.
     normalization_drift: float = 0.0
 
+    BOUNDS = {
+        "load_probability": Bound(0.0, 1.0, "[]"),
+        "g_max": NON_NEGATIVE,
+        "background_rate": NON_NEGATIVE,
+        "detector_efficiency": Bound(0.0, 1.0, "(]"),
+        "trap_lifetime": POSITIVE,
+        "hold_time": NON_NEGATIVE,
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.load_probability <= 1.0:
-            raise ParameterError("load_probability must lie in [0, 1]")
+        super().__post_init__()
         if self.poisson_loading and self.load_probability >= 1.0:
             raise ParameterError("poisson_loading requires load_probability < 1")
         if self.spectroscopy.detuning != 0.0:
@@ -91,19 +92,9 @@ class SequenceConfig:
                 "spectroscopy detuning must be 0: the probe sweeps the detuning grid",
                 field="spectroscopy/detuning",
             )
-        if self.g_max < 0.0:
-            raise ParameterError("g_max must be non-negative")
-        if self.background_rate < 0.0:
-            raise ParameterError("background_rate must be non-negative")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ParameterError("detector_efficiency must lie in (0, 1]")
-        if not self.trap_lifetime > 0.0:
-            raise ParameterError("trap_lifetime must be positive")
-        if self.hold_time < 0.0:
-            raise ParameterError("hold_time must be non-negative")
         edges = _check_bin_edges(self.bin_edges)
         if edges[0] <= 0.0 or edges[-1] >= 1.0:
-            raise ParameterError("bin_edges must lie strictly inside (0, 1)")
+            raise ParameterError("bin_edges must lie strictly inside (0, 1)", field="bin_edges")
         object.__setattr__(self, "bin_edges", tuple(edges.tolist()))
 
 
@@ -185,9 +176,9 @@ def _check_bin_edges(bin_edges) -> np.ndarray:
     """The 5 level thresholds as a float array; raises unless strictly increasing."""
     edges = np.asarray(bin_edges, dtype=float)
     if edges.shape != (5,):
-        raise ParameterError("bin_edges must hold exactly 5 thresholds")
+        raise ParameterError("bin_edges must hold exactly 5 thresholds", field="bin_edges")
     if np.any(np.diff(edges) <= 0.0):
-        raise ParameterError("bin_edges must be strictly increasing")
+        raise ParameterError("bin_edges must be strictly increasing", field="bin_edges")
     return edges
 
 
@@ -379,8 +370,6 @@ def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: in
     squared deviations and fits stay finite; this refuses a vanishing
     empty-cavity signal. The ParameterError names the field at fault.
     """
-    if n_sequences < 0:
-        raise ParameterError("n_sequences must be non-negative")
     if not n_sequences:
         return 0.0
     last_gain = 1.0 + config.normalization_drift * (n_sequences - 1)

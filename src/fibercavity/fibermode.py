@@ -36,20 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    CS_D2_ANGULAR_FREQUENCY,
-    CS_D2_CYCLING_DIPOLE,
-    CS_D2_WAVELENGTH,
-    EPSILON_0,
-    HBAR,
-)
-from .units import AngularRate, CavityGeometry, ParameterError
+from .constants import C, CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH, EPSILON_0, HBAR
+from .units import POSITIVE, WAVELENGTH, AngularRate, Bounded, CavityGeometry, ParameterError
 
 SINGLE_MODE_V_LIMIT = 2.405  # first zero of J0: cutoff of the second mode group
-
-# Default fiber: SM800-class single-mode fiber at the cesium D2 wavelength.
-DEFAULT_CORE_RADIUS = 2.8e-6
-DEFAULT_NUMERICAL_APERTURE = 0.12
 
 
 class NoGuidedModeError(RuntimeError):
@@ -61,7 +51,7 @@ class NoGuidedModeError(RuntimeError):
 def sellmeier_fused_silica(wavelength_m: float) -> float:
     """Refractive index of fused silica (Malitson 1965 Sellmeier fit)."""
     if not 0.2e-6 < wavelength_m < 3.7e-6:
-        raise ParameterError("Sellmeier fit valid for 0.21-3.71 um only")
+        raise ParameterError("Sellmeier fit valid for 0.21-3.71 um only", field="wavelength")
     l2 = (wavelength_m * 1e6) ** 2
     n2 = (
         1.0
@@ -73,7 +63,7 @@ def sellmeier_fused_silica(wavelength_m: float) -> float:
 
 
 @dataclass(frozen=True)
-class FiberSpec:
+class FiberSpec(Bounded):
     """Step-index fiber: core radius (m), core/cladding indices, wavelength (m)."""
 
     core_radius: float
@@ -81,11 +71,11 @@ class FiberSpec:
     n_clad: float
     wavelength: float
 
+    # numerical_aperture is an argument of from_numerical_aperture
+    BOUNDS = {"core_radius": POSITIVE, "wavelength": WAVELENGTH, "numerical_aperture": POSITIVE}
+
     def __post_init__(self):
-        if not self.core_radius > 0.0:
-            raise ParameterError("core_radius must be positive")
-        if not self.wavelength > 0.0:
-            raise ParameterError("wavelength must be positive")
+        super().__post_init__()
         if not self.n_core > self.n_clad > 1.0:
             raise ParameterError("indices must satisfy n_core > n_clad > 1")
 
@@ -103,9 +93,14 @@ class FiberSpec:
 
     @classmethod
     def from_numerical_aperture(
-        cls, core_radius: float, numerical_aperture: float, wavelength: float
+        cls,
+        core_radius: float = 2.8e-6,
+        numerical_aperture: float = 0.12,
+        wavelength: float = CS_D2_WAVELENGTH,
     ) -> "FiberSpec":
-        """Build a FiberSpec from NA, with the cladding index from fused silica."""
+        """Build a FiberSpec from NA, with the cladding index from fused silica.
+        The defaults are an SM800-class fiber at the cesium D2 wavelength."""
+        cls.BOUNDS["numerical_aperture"].check("numerical_aperture", numerical_aperture)
         n_clad = sellmeier_fused_silica(wavelength)
         n_core = math.sqrt(n_clad**2 + float(numerical_aperture) ** 2)
         return cls(core_radius, n_core, n_clad, wavelength)
@@ -114,9 +109,7 @@ class FiberSpec:
     def sm800(cls) -> "FiberSpec":
         """SM800-class fiber at the cesium D2 wavelength: 2.8 um core radius,
         NA 0.12, silica cladding."""
-        return cls.from_numerical_aperture(
-            DEFAULT_CORE_RADIUS, DEFAULT_NUMERICAL_APERTURE, CS_D2_WAVELENGTH
-        )
+        return cls.from_numerical_aperture()
 
 
 @dataclass(frozen=True)
@@ -403,25 +396,26 @@ def mode_volume(mode: ModeSolution, geom: CavityGeometry) -> float:
 
 
 @dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(Bounded):
     """Transition dipole moment (C m) and angular frequency (rad/s)."""
 
     dipole_moment: float
     transition_angular_frequency: float
 
-    def __post_init__(self):
-        if not self.dipole_moment > 0.0:
-            raise ParameterError("dipole_moment must be positive")
-        if not self.transition_angular_frequency > 0.0:
-            raise ParameterError("transition_angular_frequency must be positive")
+    # transition_wavelength is an argument of from_wavelength
+    BOUNDS = {"dipole_moment": POSITIVE, "transition_angular_frequency": POSITIVE,
+              "transition_wavelength": WAVELENGTH}
+
+    @classmethod
+    def from_wavelength(cls, dipole_moment: float, transition_wavelength: float) -> "AtomSpec":
+        """The AtomSpec of a transition at vacuum wavelength ``transition_wavelength`` (m)."""
+        cls.BOUNDS["transition_wavelength"].check("transition_wavelength", transition_wavelength)
+        return cls(dipole_moment, 2.0 * np.pi * C / transition_wavelength)
 
 
 def cs_d2_atom() -> AtomSpec:
     """Cesium D2 cycling transition (dipole moment derived from the linewidth)."""
-    return AtomSpec(
-        dipole_moment=CS_D2_CYCLING_DIPOLE,
-        transition_angular_frequency=CS_D2_ANGULAR_FREQUENCY,
-    )
+    return AtomSpec.from_wavelength(CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH)
 
 
 def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> AngularRate:

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import ParameterError, check_rates, from_two_pi_mhz
-
-DEFAULT_KAPPA_S = from_two_pi_mhz(50.0)  # rad/s, default switch-off rate
+from .units import POSITIVE, Bounded, ParameterError, check_rates, from_two_pi_mhz
 
 # The explicit integrator's steps stay near its stability limit ~1/kappa even
 # after the field has decayed, so its cost grows as kappa * t_end; far below
@@ -52,20 +50,23 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RingdownParams:
+class RingdownParams(Bounded):
     """Rates (rad/s) and drive amplitude for a reflection ring-down."""
 
     kappa1: float
     kappa2: float
     kappa_loss: float
-    kappa_s: float = DEFAULT_KAPPA_S
+    kappa_s: float = from_two_pi_mhz(50.0)  # default switch-off rate
     s0: float = 1.0
+
+    BOUNDS = {"s0": POSITIVE}
 
     @property
     def kappa(self) -> float:
         return self.kappa1 + self.kappa2 + self.kappa_loss
 
     def __post_init__(self):
+        super().__post_init__()
         check_rates(self)
         if self.kappa <= 0.0:
             raise ParameterError("total kappa must be positive")
@@ -73,8 +74,6 @@ class RingdownParams:
             raise ParameterError(
                 "kappa_s must exceed kappa (closed form is singular at kappa_s = kappa)"
             )
-        if not self.s0 > 0.0:
-            raise ParameterError("s0 must be positive")
         # |s_out| < 3 s0 and a < 2 sqrt(2 kappa2) s0 / kappa at every t (module docstring)
         peak, steady = 3.0 * self.s0, math.sqrt(2.0 * self.kappa2) * self.s0 / self.kappa
         if not (math.isfinite(peak * peak) and math.isfinite(2.0 * steady)):

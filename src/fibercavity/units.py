@@ -12,7 +12,8 @@ All types here are immutable values and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 TWO_PI_MHZ = 2.0 * math.pi * 1e6  # rad/s per (2pi x 1 MHz)
 
@@ -22,13 +23,51 @@ _RATE_JSON_UNITS = ("rad_per_s", "two_pi_mhz")
 class ParameterError(ValueError):
     """A physical parameter violates one of its invariants.
 
-    ``field``, when given, is the path of the offending field below the
-    object that was checked (e.g. ``"spectroscopy/detuning"``).
+    ``field``, when given, is the path of the offending attribute below the
+    object that was checked (e.g. ``"spectroscopy/detuning"``); a check that
+    relates several attributes of the object names none of them.
     """
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+class Bound(NamedTuple):
+    """The interval from ``low`` to ``high`` that a parameter must lie in;
+    ``ends`` are its brackets, "[" or "]" where the end belongs to it.
+
+    A class's ``BOUNDS`` maps each bounded constructor argument to its Bound
+    (see ``Bounded``). That is the one declaration: the constructor checks it,
+    and the CLI reads it.
+    """
+
+    low: float
+    high: float = math.inf
+    ends: str = "[)"
+
+    def check(self, name: str, value: float):
+        """Raise ParameterError, with ``name`` as its field, unless value lies in the interval."""
+        low, high, (left, right) = self
+        if not (
+            (value > low if left == "(" else value >= low)
+            and (value < high if right == ")" else value <= high)
+        ):
+            raise ParameterError(f"{name} must lie in {left}{low!r}, {high!r}{right}", field=name)
+
+
+POSITIVE, NON_NEGATIVE = Bound(0.0, ends="()"), Bound(0.0)
+WAVELENGTH = Bound(1e-9)  # m
+
+
+class Bounded:
+    """Base of a dataclass that checks, on construction, each field that its
+    ``BOUNDS`` names; a constructor classmethod checks its own arguments."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name in self.BOUNDS:
+                self.BOUNDS[f.name].check(f.name, getattr(self, f.name))
 
 
 class AngularRate(float):
@@ -111,9 +150,9 @@ def check_rates(params, names=("kappa1", "kappa2", "kappa_loss")):
     for name in names:
         value = getattr(params, name)
         if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite")
+            raise ParameterError(f"{name} must be finite", field=name)
         if value < 0.0:
-            raise ParameterError(f"decay rates non-negative: {name} is {value!r}")
+            raise ParameterError(f"decay rates non-negative: {name} is {value!r}", field=name)
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -123,23 +162,20 @@ def validate(params: SystemParams) -> SystemParams:
     """
     check_rates(params, ("kappa1", "kappa2", "kappa_loss", "gamma", "g"))
     if params.gamma <= 0.0:
-        raise ParameterError("gamma must be positive")
+        raise ParameterError("gamma must be positive", field="gamma")
     if params.kappa <= 0.0:
         raise ParameterError("kappa = kappa1 + kappa2 + kappa_loss must be positive")
     if not math.isfinite(params.cavity_detuning):
-        raise ParameterError("cavity_detuning must be finite")
+        raise ParameterError("cavity_detuning must be finite", field="cavity_detuning")
     return params
 
 
 @dataclass(frozen=True)
-class CavityGeometry:
-    """Cavity length (m) and effective refractive index of the guided mode."""
+class CavityGeometry(Bounded):
+    """Cavity length (m), at least a micrometre, and effective refractive
+    index of the guided mode."""
 
     length: float
     effective_index: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ParameterError("cavity length must be positive")
-        if not 1.0 < self.effective_index < 2.0:
-            raise ParameterError("effective_index must lie in (1, 2)")
+    BOUNDS = {"length": Bound(1e-6), "effective_index": Bound(1.0, 2.0, "()")}

@@ -843,3 +843,96 @@ def test_mode_solve_whose_root_finder_does_not_converge_is_numeric_failure(
         "numerical failure: Brent's method did not converge in 1 iterations\n"
     )
     assert not out.exists()
+
+
+# The library constructors own these bounds: each refusal is one check, named at its field.
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "keys, line",
+    [
+        (("detection", "power_w"), "power must lie in (0.0, inf)"),
+        (("spectroscopy", "power_w"), "power must lie in (0.0, inf)"),
+        (("detection", "duration_s"), "duration must lie in (0.0, inf)"),
+        (("spectroscopy", "duration_s"), "duration must lie in (0.0, inf)"),
+        (("trap_lifetime_s",), "trap_lifetime must lie in (0.0, inf)"),
+        (("detector_efficiency",), "detector_efficiency must lie in (0.0, 1.0]"),
+    ],
+)
+def test_a_library_bound_is_refused_once_at_its_field(tmp_path, capsys, keys, line, value, dump):
+    sequence = {keys[-1]: value}
+    for key in reversed(keys[:-1]):
+        sequence = {key: sequence}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sequence": sequence}))
+    out = tmp_path / "out"
+    argv = ("experiment", "--config", str(cfg), "--out", str(out), "--sequences", "3", *dump)
+    assert run_cli(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    pointer = "/sequence/" + "/".join(keys)
+    assert captured.err.splitlines() == [f"config error: {pointer}: {line}"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+@pytest.mark.parametrize(
+    "subcommand, doc, pointer",
+    [
+        ("experiment", {"sequence": {"detection": {"wavelength_nm": 0.5}}},
+         "/sequence/detection/wavelength_nm"),
+        ("experiment", {"sequence": {"spectroscopy": {"wavelength_nm": 0.5}}},
+         "/sequence/spectroscopy/wavelength_nm"),
+        ("mode-solve", {"fiber": {"wavelength_nm": 0.5}}, "/fiber/wavelength_nm"),
+        ("mode-solve", {"fiber": {"wavelength_nm": 0.5, "n_core": 1.46, "n_clad": 1.45}},
+         "/fiber/wavelength_nm"),
+        ("mode-solve", {"atom": {"transition_wavelength_nm": 0.5}},
+         "/atom/transition_wavelength_nm"),
+        ("mode-solve", {"cavity": {"length_m": 9.99e-7}}, "/cavity/length_m"),
+    ],
+)
+def test_the_stricter_bounds_the_schema_held_are_the_librarys(
+    tmp_path, capsys, subcommand, doc, pointer, dump
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli(subcommand, "--config", str(cfg), "--out", str(out), *dump) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: {pointer}: ")
+    assert not out.exists()
+
+
+def test_a_config_document_that_is_not_an_object_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1, 2]")
+    assert run_cli("spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: /: config document must be a JSON object\n"
+
+
+def test_detunings_whose_max_is_below_min_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"detunings": {"min": _two_pi_mhz(5.0), "max": _two_pi_mhz(1.0)}}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: /detunings/max: must be >= min\n"
+    assert not out.exists()
+
+
+def test_a_g_list_flag_that_is_not_numbers_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["spectrum", "--g-list-mhz", "1,x", "--out", str(tmp_path / "out")])
+    assert caught.value.code == EXIT_CONFIG
+    assert "expected comma-separated numbers, got '1,x'" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_write_that_fails_exits_4_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "spectrum.csv").mkdir(parents=True)
+    (out / "spectrum.csv" / "keep").write_text("x")  # os.replace cannot replace it
+    assert run_cli("spectrum", "--out", str(out), "--points", "5") == EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv"]
+    assert list(out.glob("*.tmp")) == []
