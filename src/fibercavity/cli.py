@@ -42,6 +42,7 @@ from .dataio import unit_exact_value
 from .constants import CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH
 from .ringdown import IntegrationError, RingdownParams
 from .units import (
+    RATE_LIMIT,
     CavityGeometry,
     ParameterError,
     SystemParams,
@@ -89,7 +90,7 @@ class Field(NamedTuple):
     round trip bit-exactly. A number with a ``scale`` (its SI factor)
     resolves to the double that multiplies back to the same SI value.
     ``attr`` names the library attribute the field builds (see ``_build``).
-    ``_read`` checks the ``minimum`` of a field that no library class owns.
+    ``_read`` checks the ``minimum`` and ``maximum`` of a field no library class owns.
     An ``owned`` field (see ``_owned``) takes its default and bounds from the
     library, which checks them when ``_build`` runs.
     """
@@ -123,9 +124,9 @@ def _owned(owner, attr: str, kind: str = NUMBER, default=None, scale=None, flag=
     return Field(kind, default, *limits, scale, flag, attr=attr, owned=True)
 
 
-def _rates(**defaults_two_pi_mhz) -> dict:
+def _rates(limits: tuple, **defaults_two_pi_mhz) -> dict:
     return {
-        name: Field(RATE, {"value": value, "unit": "two_pi_mhz"})
+        name: Field(RATE, {"value": value, "unit": "two_pi_mhz"}, *limits)
         for name, value in defaults_two_pi_mhz.items()
     }
 
@@ -140,17 +141,19 @@ def _probe(power_w: float, duration_s: float) -> dict:
     }
 
 
+LIMIT_MHZ = two_pi_mhz(RATE_LIMIT)  # the transmission kernel's range, in 2pi x MHz
 # os.urandom, as secrets.randbits draws, without the hashlib/OpenSSL import of secrets
 SEED = Field(INTEGER, lambda: int.from_bytes(os.urandom(4), "little"), minimum=0, flag="seed")
-SYSTEM = _rates(kappa1=0.12, kappa2=3.08, kappa_loss=3.2, gamma=2.6, g=7.8, cavity_detuning=0.0)
+SYSTEM = _rates((None, None), kappa1=0.12, kappa2=3.08, kappa_loss=3.2, gamma=2.6, g=7.8,
+                cavity_detuning=0.0)
 SPECTRUM = {
     "system": SYSTEM,
     "grid": {
-        "delta_min_mhz": Field(NUMBER, -25.0, flag="delta_min_mhz"),
-        "delta_max_mhz": Field(NUMBER, 25.0, flag="delta_max_mhz"),
+        "delta_min_mhz": Field(NUMBER, -25.0, -LIMIT_MHZ, LIMIT_MHZ, flag="delta_min_mhz"),
+        "delta_max_mhz": Field(NUMBER, 25.0, -LIMIT_MHZ, LIMIT_MHZ, flag="delta_max_mhz"),
         "points": Field(INTEGER, 501, minimum=2, flag="points"),
     },
-    "g_list_two_pi_mhz": Field(NUMBERS, minimum=0.0, flag="g_list_mhz"),
+    "g_list_two_pi_mhz": Field(NUMBERS, minimum=0.0, maximum=LIMIT_MHZ, flag="g_list_mhz"),
     "seed": SEED,
 }
 RINGDOWN = {
@@ -218,7 +221,8 @@ EXPERIMENT = {
         "poisson_loading": _owned(SEQUENCE, "poisson_loading", BOOL),
         "normalization_drift": _owned(SEQUENCE, "normalization_drift"),
     },
-    "detunings": {**_rates(min=-25.0, max=25.0), "points": Field(INTEGER, 21, minimum=1)},
+    "detunings": {**_rates((-RATE_LIMIT, RATE_LIMIT), min=-25.0, max=25.0),
+                  "points": Field(INTEGER, 21, minimum=1)},
     "sequences": Field(INTEGER, 1000, minimum=0, flag="sequences"),
     "seed": SEED,
 }
@@ -240,7 +244,7 @@ def _read(field: Field, value, where: str):
             for key in value.keys() - {"value", "unit"}:
                 _fail(f"{where}/{key}", "unknown field")
         try:
-            return rate_to_json(rate_from_json(value), "rad_per_s")
+            value = rate_from_json(value)
         except ParameterError as exc:
             _fail(where, str(exc))
     if field.kind == BOOL:
@@ -265,11 +269,14 @@ def _read(field: Field, value, where: str):
             _fail(where, f"expected integer, got {value!r}")
     else:
         value = _number(value, where)
-    if not field.owned and field.minimum is not None and value < field.minimum:
-        _fail(where, f"must be >= {field.minimum}")
+    if not field.owned:
+        if field.minimum is not None and value < field.minimum:
+            _fail(where, f"must be >= {field.minimum}")
+        if field.maximum is not None and value > field.maximum:
+            _fail(where, f"must be <= {field.maximum}")
     if field.scale is not None:
         value = unit_exact_value(value * field.scale, field.scale)
-    return value
+    return rate_to_json(value, "rad_per_s") if field.kind == RATE else value
 
 
 def _resolve(schema: dict, doc, args, pointer: str = "") -> dict:

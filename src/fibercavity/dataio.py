@@ -38,22 +38,18 @@ def unit_exact_value(value: float, factor: float) -> float:
     """A double x with x * factor == value when one exists, else value/factor.
 
     Readers recover values as ``parsed * factor``; the naive quotient does
-    not always survive that round trip. Values that were built on the unit
-    lattice (x * factor for a double x) have an exact preimage within a few
-    ulps of the quotient; foreign values fall back to nearest (sub-ulp).
+    not always survive that round trip. If some double y has y * factor ==
+    value, the quotient x, being nearest to value/factor, puts x * factor no
+    farther from value than y * factor, so it rounds to value too, unless
+    value is a power of two: then the doubles just below it lie half as far
+    apart, and x * factor may round down while y lies one ulp above x. So x
+    or the next double up is exact; a foreign value falls back to x.
     """
     x = value / factor
     if x * factor == value:
         return x
-    up = down = x
-    for _ in range(8):
-        up = math.nextafter(up, math.inf)
-        if up * factor == value:
-            return up
-        down = math.nextafter(down, -math.inf)
-        if down * factor == value:
-            return down
-    return x
+    up = math.nextafter(x, math.inf)
+    return up if up * factor == value else x
 
 
 def _unit_exact_repr(value: float, factor: float) -> str:

@@ -155,15 +155,18 @@ def fit_least_squares(
     else:
         sqrt_w = np.ones_like(y)
 
+    # A model or Jacobian that overflows is refused below (a trial step whose
+    # residual is not finite fails), so numpy need not warn about it as well.
     def jacobian(p):
-        j = np.asarray(jac(x, p), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            j = np.asarray(jac(x, p), dtype=float)
         if not np.all(np.isfinite(j)):
             raise FitError("analytic Jacobian returned non-finite values")
         return j
 
     def weighted_residual(p):
-        r = (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
-        return r
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
 
     residual = weighted_residual(params)
     if not np.all(np.isfinite(residual)):
@@ -194,6 +197,8 @@ def fit_least_squares(
             try:
                 step = np.linalg.solve(lhs, gradient_scaled) / scale
             except np.linalg.LinAlgError:
+                # lhs is positive definite, but the Gram matrix's rounding grows with
+                # the point count past the 1e-15 damping floor: a zero pivot can occur
                 damping *= 10.0
                 continue
             trial = np.clip(params - step, lo, hi)

@@ -33,7 +33,8 @@ from . import steady
 from .constants import C, CS_D2_WAVELENGTH, HBAR
 from .estimation import Spectrum
 from .units import (
-    NON_NEGATIVE, POSITIVE, WAVELENGTH, Bound, Bounded, ParameterError, SystemParams
+    DETUNING, NON_NEGATIVE, POSITIVE, RATE, WAVELENGTH, Bound, Bounded, ParameterError,
+    SystemParams,
 )
 
 
@@ -46,7 +47,9 @@ class ProbeConfig(Bounded):
     detuning: float = 0.0
     wavelength: float = CS_D2_WAVELENGTH
 
-    BOUNDS = {"power": POSITIVE, "duration": POSITIVE, "wavelength": WAVELENGTH}
+    BOUNDS = {
+        "power": POSITIVE, "duration": POSITIVE, "detuning": DETUNING, "wavelength": WAVELENGTH,
+    }
 
     @property
     def photon_flux(self) -> float:
@@ -76,7 +79,7 @@ class SequenceConfig(Bounded):
 
     BOUNDS = {
         "load_probability": Bound(0.0, 1.0, "[]"),
-        "g_max": NON_NEGATIVE,
+        "g_max": RATE,
         "background_rate": NON_NEGATIVE,
         "detector_efficiency": Bound(0.0, 1.0, "(]"),
         "trap_lifetime": POSITIVE,
@@ -378,7 +381,8 @@ def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: in
             f"signal gain 1 + drift * i must stay positive up to i = {n_sequences - 1}",
             field="normalization_drift",
         )
-    peak = max(last_gain, 1.0) * (1.0 + (system.cavity_detuning / system.kappa) ** 2)
+    ratio = system.cavity_detuning / system.kappa  # squared by hand: ** raises on overflow
+    peak = max(last_gain, 1.0) * (1.0 + ratio * ratio)
     means = {}
     for name in ("detection", "spectroscopy"):
         probe = getattr(config, name)

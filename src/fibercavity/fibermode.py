@@ -37,9 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH, EPSILON_0, HBAR
-from .units import POSITIVE, WAVELENGTH, AngularRate, Bounded, CavityGeometry, ParameterError
+from .units import (
+    POSITIVE, WAVELENGTH, AngularRate, Bound, Bounded, CavityGeometry, ParameterError,
+)
 
 SINGLE_MODE_V_LIMIT = 2.405  # first zero of J0: cutoff of the second mode group
+
+# The largest core radius (m), refractive index and numerical aperture: V = 2 pi
+# a NA / wavelength is squared as a Python float, which overflows beyond 1.34e154;
+# a wavelength of at least 1 nm keeps V <= 2 pi 1e9 SIZE_LIMIT^2 below that.
+SIZE_LIMIT = 1e72
+SIZE = Bound(0.0, SIZE_LIMIT, "(]")
 
 
 class NoGuidedModeError(RuntimeError):
@@ -72,7 +80,8 @@ class FiberSpec(Bounded):
     wavelength: float
 
     # numerical_aperture is an argument of from_numerical_aperture
-    BOUNDS = {"core_radius": POSITIVE, "wavelength": WAVELENGTH, "numerical_aperture": POSITIVE}
+    BOUNDS = {"core_radius": SIZE, "n_core": Bound(1.0, SIZE_LIMIT, "(]"),
+              "wavelength": WAVELENGTH, "numerical_aperture": SIZE}
 
     def __post_init__(self):
         super().__post_init__()
@@ -148,13 +157,6 @@ def _he11_residual_u(u, fiber: FiberSpec):
     lhs = (j + k) * (j + rho * k)
     rhs = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + rho / w**2)
     return lhs - rhs
-
-
-def _dispersion_he11(n_eff: float, fiber: FiberSpec) -> float:
-    """Residual of the characteristic equation as a function of n_eff."""
-    k0a = fiber.k0 * fiber.core_radius
-    u = k0a * math.sqrt(fiber.n_core**2 - n_eff**2)
-    return _he11_residual_u(u, fiber)
 
 
 def _dispersion_lp01(u: float, fiber: FiberSpec) -> float:
@@ -369,21 +371,12 @@ def solve_lp01(fiber: FiberSpec) -> float:
     from scipy.special import jn_zeros
 
     v = fiber.v_number
-    # The LP01 root lies below the first zero of J0 (where J0 changes sign).
+    # The LP01 root lies below the first zero of J0 (where J0 changes sign);
+    # _brentq refuses a bracket with no sign change or a NaN end (Bessel underflow).
     upper = min(v, float(jn_zeros(0, 1)[0]))
     lo, hi = 1e-9 * upper, upper * (1.0 - 1e-12)
-    flo = _dispersion_lp01(lo, fiber)
-    fhi = _dispersion_lp01(hi, fiber)
-    if not flo * fhi <= 0.0:  # NaN where the Bessel functions underflow
-        raise NoGuidedModeError("no LP01 root bracket; fiber outside model validity")
     u = _brentq(lambda x: _dispersion_lp01(x, fiber), lo, hi, 1e-16, 8.9e-16)
     return math.sqrt(fiber.n_core**2 - (u / (fiber.k0 * fiber.core_radius)) ** 2)
-
-
-def gaussian_mode_field_radius(fiber: FiberSpec) -> float:
-    """Marcuse fit for the fundamental-mode Gaussian radius (m)."""
-    v = fiber.v_number
-    return fiber.core_radius * (0.65 + 1.619 / v**1.5 + 2.879 / v**6)
 
 
 def mode_volume(mode: ModeSolution, geom: CavityGeometry) -> float:
@@ -432,7 +425,10 @@ def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> An
     denominator = 2.0 * HBAR * EPSILON_0 * mode_volume_m3
     if not denominator > 0.0:
         raise ParameterError(f"mode volume {mode_volume_m3:.4g} m^3 underflows 2 hbar eps0 V")
-    g_max = math.sqrt(atom.dipole_moment**2 * atom.transition_angular_frequency / denominator)
+    try:  # the dipole moment's square alone may overflow
+        g_max = math.sqrt(atom.dipole_moment**2 * atom.transition_angular_frequency / denominator)
+    except OverflowError:
+        g_max = math.inf
     if not math.isfinite(g_max):
         raise ParameterError("coupling rate overflows")
     return AngularRate(g_max * phi)

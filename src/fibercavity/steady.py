@@ -74,6 +74,7 @@ def transmission(params: SystemParams, delta, g=None):
     a (n, 1) column of couplings over a (k,) grid gives n spectra, each equal
     bit for bit to the call with ``params.with_g`` of that coupling. Scalar
     ``delta`` and ``g`` evaluate as 1-element arrays; the float has their bits.
+    Finite for |delta| and g within ``units.RATE_LIMIT`` (see ``SystemParams``).
     """
     delta = np.asarray(delta, dtype=float)
     g = np.asarray(params.g if g is None else g, dtype=float)
@@ -159,10 +160,9 @@ def transmission_peak_detunings(params: SystemParams) -> tuple[float, ...]:
     kappa, gamma, g = params.kappa, params.gamma, params.g
     a = kappa * gamma + g**2
     b = kappa + gamma
+    # inner = g^2 (2 gamma b + g^2) >= 0; at g = 0 rounding may leave it below 0
     inner = (a + gamma**2) ** 2 - gamma**2 * b**2
-    if inner <= 0.0:
-        return (0.0,)
-    x = -(gamma**2) + math.sqrt(inner)
+    x = -(gamma**2) + math.sqrt(max(inner, 0.0))
     if x <= 0.0:
         return (0.0,)
     peak = math.sqrt(x)

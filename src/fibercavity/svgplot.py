@@ -18,7 +18,7 @@ _MARGIN_BOTTOM = 46.0
 
 
 class PlotError(ValueError):
-    """Plot data contained NaN/Inf or was otherwise unusable."""
+    """Plot data contained NaN or Inf."""
 
 
 def _fmt(value: float) -> str:
@@ -35,17 +35,14 @@ def _tick_label(value: float) -> str:
 
 
 def _check_series(series):
+    """The series (at least one; x and y non-empty, of one shape) as float arrays."""
     cleaned = []
     for label, x, y in series:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.size == 0 or x.shape != y.shape:
-            raise PlotError(f"series {label!r} must have matching non-empty x/y")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise PlotError(f"series {label!r} contains NaN or Inf")
         cleaned.append((str(label), x, y))
-    if not cleaned:
-        raise PlotError("no series to plot")
     return cleaned
 
 
@@ -156,8 +153,6 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
 
 def triptych(panels, *, x_label: str = "", y_label: str = "") -> str:
     """Three (or more) titled 360 x 360 panels side by side: [(title, series), ...]."""
-    if not panels:
-        raise PlotError("no panels to plot")
     parts = [
         _panel(series, i * 360.0, 0.0, 360.0, 360.0, title, x_label, y_label if i == 0 else "")
         for i, (title, series) in enumerate(panels)

@@ -39,7 +39,7 @@ class Bound(NamedTuple):
 
     A class's ``BOUNDS`` maps each bounded constructor argument to its Bound
     (see ``Bounded``). That is the one declaration: the constructor checks it,
-    and the CLI reads it.
+    and the CLI reads it. NaN lies in no interval; [0.0, inf) reads "non-negative".
     """
 
     low: float
@@ -53,11 +53,21 @@ class Bound(NamedTuple):
             (value > low if left == "(" else value >= low)
             and (value < high if right == ")" else value <= high)
         ):
-            raise ParameterError(f"{name} must lie in {left}{low!r}, {high!r}{right}", field=name)
+            interval = f"lie in {left}{low!r}, {high!r}{right}"
+            rule = "be non-negative" if self == NON_NEGATIVE else interval
+            raise ParameterError(f"{name} must {rule}", field=name)
 
 
 POSITIVE, NON_NEGATIVE = Bound(0.0, ends="()"), Bound(0.0)
 WAVELENGTH = Bound(1e-9)  # m
+
+# The largest rate or detuning L (rad/s) the transmission kernel evaluates
+# finitely: it squares |z|, z = (i (Delta - Delta_C) + kappa)(i Delta + gamma) + g^2.
+# With every rate and |Delta| at most L, |Re z| <= 6 L^2 and |Im z| <= 5 L^2, so
+# |z|^2 <= 61 L^4 is finite for L < (DBL_MAX / 61)^(1/4) = 4.1e76. A factor 40 below
+# that, sqrt(n) g_max of n <= 13000 atoms (poisson_loading) stays in range too.
+RATE_LIMIT = 1e75
+RATE, DETUNING = Bound(0.0, RATE_LIMIT, "[]"), Bound(-RATE_LIMIT, RATE_LIMIT, "[]")
 
 
 class Bounded:
@@ -115,7 +125,7 @@ def rate_from_json(doc: dict) -> AngularRate:
 
 
 @dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Bounded):
     """Physical rates of the atom-cavity system, all in rad/s.
 
     kappa1, kappa2 are the field decay rates through the two mirrors,
@@ -124,7 +134,8 @@ class SystemParams:
     polarization decay rate and g the atom-cavity coupling rate.
     cavity_detuning is omega_C - omega_A; probe detunings are measured from
     the atomic resonance, so no absolute optical frequency is needed.
-    Construction validates (see ``validate``), so every instance is valid.
+    Construction checks each rate's bound (within RATE_LIMIT) and kappa > 0,
+    so every instance is valid.
     """
 
     kappa1: float
@@ -134,8 +145,13 @@ class SystemParams:
     g: float
     cavity_detuning: float = 0.0
 
+    BOUNDS = {"kappa1": RATE, "kappa2": RATE, "kappa_loss": RATE, "g": RATE,
+              "gamma": Bound(0.0, RATE_LIMIT, "(]"), "cavity_detuning": DETUNING}
+
     def __post_init__(self):
-        validate(self)
+        super().__post_init__()
+        if self.kappa <= 0.0:
+            raise ParameterError("kappa = kappa1 + kappa2 + kappa_loss must be positive")
 
     @property
     def kappa(self) -> float:
@@ -145,28 +161,9 @@ class SystemParams:
         return replace(self, g=g)
 
 
-def check_rates(params, names=("kappa1", "kappa2", "kappa_loss")):
-    """Raise ParameterError unless each named rate of ``params`` is finite and >= 0."""
-    for name in names:
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite", field=name)
-        if value < 0.0:
-            raise ParameterError(f"decay rates non-negative: {name} is {value!r}", field=name)
-
-
 def validate(params: SystemParams) -> SystemParams:
-    """Check all SystemParams invariants; return the params unchanged.
-
-    Idempotent. Raises ParameterError naming the first violated invariant.
-    """
-    check_rates(params, ("kappa1", "kappa2", "kappa_loss", "gamma", "g"))
-    if params.gamma <= 0.0:
-        raise ParameterError("gamma must be positive", field="gamma")
-    if params.kappa <= 0.0:
-        raise ParameterError("kappa = kappa1 + kappa2 + kappa_loss must be positive")
-    if not math.isfinite(params.cavity_detuning):
-        raise ParameterError("cavity_detuning must be finite", field="cavity_detuning")
+    """Check all SystemParams invariants again (idempotent); return the params unchanged."""
+    params.__post_init__()
     return params
 
 

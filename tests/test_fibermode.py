@@ -27,7 +27,20 @@ from fibercavity.constants import (
     HBAR,
 )
 from fibercavity import fibermode
-from fibercavity.fibermode import _dispersion_he11, gaussian_mode_field_radius
+from fibercavity.fibermode import _he11_residual_u
+
+
+def _dispersion_he11(n_eff: float, fiber: FiberSpec) -> float:
+    """Residual of the characteristic equation as a function of n_eff."""
+    k0a = fiber.k0 * fiber.core_radius
+    u = k0a * math.sqrt(fiber.n_core**2 - n_eff**2)
+    return _he11_residual_u(u, fiber)
+
+
+def gaussian_mode_field_radius(fiber: FiberSpec) -> float:
+    """Marcuse fit for the fundamental-mode Gaussian radius (m)."""
+    v = fiber.v_number
+    return fiber.core_radius * (0.65 + 1.619 / v**1.5 + 2.879 / v**6)
 
 
 def solve_sm800():

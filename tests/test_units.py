@@ -21,12 +21,12 @@ def test_validate_accepts_all_positive():
 
 
 def test_validate_rejects_zero_gamma():
-    with pytest.raises(ParameterError, match="gamma must be positive"):
+    with pytest.raises(ParameterError, match=r"^gamma must lie in \(0\.0, 1e\+75\]$"):
         SystemParams(kappa1=1.0, kappa2=1.0, kappa_loss=0.0, gamma=0.0, g=1.0)
 
 
 def test_validate_rejects_negative_decay_rate():
-    with pytest.raises(ParameterError, match="decay rates non-negative"):
+    with pytest.raises(ParameterError, match=r"^kappa1 must lie in \[0\.0, 1e\+75\]$"):
         SystemParams(kappa1=-1.0, kappa2=1.0, kappa_loss=0.0, gamma=1.0, g=1.0)
 
 
@@ -36,14 +36,14 @@ def test_validate_rejects_zero_kappa():
 
 
 def test_every_construction_validates(measured_params):
-    with pytest.raises(ParameterError, match="gamma must be positive"):
+    with pytest.raises(ParameterError, match=r"^gamma must lie in \(0\.0, 1e\+75\]$"):
         dataclasses.replace(measured_params, gamma=0.0)
-    with pytest.raises(ParameterError, match="decay rates non-negative: g"):
+    with pytest.raises(ParameterError, match=r"^g must lie in \[0\.0, 1e\+75\]$"):
         measured_params.with_g(-1.0)
-    with pytest.raises(ParameterError, match="kappa1 must be finite"):
+    with pytest.raises(ParameterError, match=r"^kappa1 must lie in \[0\.0, 1e\+75\]$"):
         SystemParams(kappa1=math.nan, kappa2=1.0, kappa_loss=0.0, gamma=1.0, g=1.0)
     kappa_loss = rate_from_json({"value": -1.0, "unit": "two_pi_mhz"})
-    with pytest.raises(ParameterError, match="decay rates non-negative: kappa_loss"):
+    with pytest.raises(ParameterError, match=r"^kappa_loss must lie in \[0\.0, 1e\+75\]$"):
         dataclasses.replace(measured_params, kappa_loss=kappa_loss)
 
 

@@ -1,0 +1,138 @@
+"""Run the CLI on extreme values, one field at a time, and check its exit-code contract.
+
+Usage: python tools/contract.py
+
+Every NUMBER or RATE field of ``spectrum``, ``ringdown``, ``mode-solve`` and
+``experiment`` (40 sequences) is set alone to each of VALUES (a rate in
+rad/s), in a document that otherwise holds the defaults, and run in its own
+interpreter: ``spectrum`` and ``experiment`` with ``--plot``, ``ringdown``
+with ``--plot --compare --triptych``. A run keeps the contract when
+
+- it exits 0, 2 or 3, and prints no traceback;
+- its stderr is empty on exit 0, and one line otherwise;
+- it writes no file unless it exits 0.
+
+Prints every run that breaks it and a count, and exits 1 if any run breaks it.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+from fibercavity import cli  # noqa: E402  (the field tables of the checkout's src/)
+
+VALUES = (1e300, -1e300, 1e-300, 5e-324, 1e154)
+JOBS = 2  # runs at once, each in its own interpreter
+SCHEMAS = {
+    "spectrum": cli.SPECTRUM, "ringdown": cli.RINGDOWN,
+    "mode-solve": cli.MODE_SOLVE, "experiment": cli.EXPERIMENT,
+}
+FLAGS = {
+    "spectrum": ("--plot",),
+    "ringdown": ("--plot", "--compare", "--triptych"),
+    "mode-solve": (),
+    "experiment": ("--plot",),
+}
+# the other value of a document that sets one of the two fiber indices
+PARTNER = {"/fiber/n_core": ("n_clad", 1.45), "/fiber/n_clad": ("n_core", 1.46)}
+
+
+def fields(schema: dict, pointer: str = ""):
+    """(pointer, kind) of every NUMBER or RATE field of a cli field table."""
+    for key, field in schema.items():
+        where = f"{pointer}/{key}"
+        if isinstance(field, dict):
+            yield from fields(field, where)
+        elif field.kind in (cli.NUMBER, cli.RATE):
+            yield where, field.kind
+
+
+def runs() -> list:
+    """(subcommand, pointer, value) of every single-fault run."""
+    return [
+        (subcommand, pointer, value)
+        for subcommand, schema in SCHEMAS.items()
+        for pointer, _ in fields(schema)
+        for value in VALUES
+    ]
+
+
+def document(subcommand: str, pointer: str, value: float) -> dict:
+    """The config document with the field at ``pointer`` set to ``value``."""
+    kind = dict(fields(SCHEMAS[subcommand]))[pointer]
+    doc = {"seed": 0, **({"sequences": 40} if subcommand == "experiment" else {})}
+    *blocks, key = pointer.strip("/").split("/")
+    block = doc
+    for name in blocks:
+        block = block.setdefault(name, {})
+    block[key] = {"value": value, "unit": "rad_per_s"} if kind == cli.RATE else value
+    if pointer in PARTNER:
+        other, index = PARTNER[pointer]
+        block[other] = index
+    return doc
+
+
+def check(subcommand: str, doc: dict, workdir: str) -> tuple:
+    """Run one document in ``workdir``: (exit code, stderr, what breaks the contract or None)."""
+    config, out = os.path.join(workdir, "config.json"), os.path.join(workdir, "out")
+    with open(config, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibercavity.cli", subcommand, "--config", config,
+             "--out", out, *FLAGS[subcommand]],
+            env=env, cwd=workdir, capture_output=True, text=True, timeout=300,
+        )
+    except subprocess.TimeoutExpired:
+        return None, "", "no exit within 300 s"
+    code, err = proc.returncode, proc.stderr
+    lines = len(err.splitlines())
+    written = sorted(name for _, _, names in os.walk(out) for name in names)
+    if code not in (0, 2, 3):
+        broken = f"exit {code}"
+    elif "Traceback" in err:
+        broken = "traceback"
+    elif code == 0 and err:
+        broken = "stderr on exit 0"
+    elif code and lines != 1:
+        broken = f"{lines} stderr lines"
+    elif code and written:
+        broken = f"wrote {written}"
+    else:
+        broken = None
+    return code, err, broken
+
+
+def _run_one(run):
+    subcommand, pointer, value = run
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err, broken = check(subcommand, document(*run), workdir)
+    return {"subcommand": subcommand, "pointer": pointer, "value": value,
+            "exit": code, "broken": broken, "stderr": err}
+
+
+def main() -> int:
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+        results = list(pool.map(_run_one, runs()))
+    broken = [r for r in results if r["broken"]]
+    for r in broken:
+        last = r["stderr"].strip().splitlines()[-1:] or [""]
+        print(f"{r['subcommand']} {r['pointer']} = {r['value']!r}: exit {r['exit']}, "
+              f"{r['broken']}: {last[0]}")
+    print(f"{len(broken)} of {len(results)} runs break the contract")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
