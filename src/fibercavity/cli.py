@@ -62,6 +62,10 @@ class ConfigError(Exception):
     """Bad config document; message carries a JSON pointer to the field."""
 
 
+class NumericalFailure(Exception):
+    """A fault in a valid config that only the run can reveal (exit 3)."""
+
+
 def _fail(pointer: str, message: str):
     raise ConfigError(f"{pointer}: {message}")
 
@@ -564,8 +568,14 @@ def _mode_solve(args):
             warnings.simplefilter("always")
             mode = fibermode.solve_fundamental_mode(fiber)
         lp01 = fibermode.solve_lp01(fiber)
+        # the volume comes from the solve, so only the run can see these faults
         volume = fibermode.mode_volume(mode, geom)
-        g_est = fibermode.coupling_rate(atom, volume, 1.0)
+        if not math.isfinite(volume * 1e18):
+            raise NumericalFailure(f"mode volume {volume:.4g} m^3 overflows in um^3")
+        try:
+            g_est = fibermode.coupling_rate(atom, volume, 1.0)
+        except ParameterError as exc:
+            raise NumericalFailure(f"{exc} at the solved mode volume {volume:.4g} m^3") from None
         out.report("mode_solution.json", {
             "n_eff": mode.n_eff,
             "lp01_n_eff": lp01,
@@ -627,6 +637,9 @@ def _experiment(args):
         }
         series = []
         spectra = experiment.accumulate_spectra(ensemble, system, sequence)
+        # nothing reads the ensemble any more: the fits below page in LAPACK
+        # without the count table still held
+        del ensemble
         for level, spectrum in sorted(spectra.items()):
             dataio.write_spectrum_csv(out.path(f"spectrum_level_{level}.csv"), spectrum)
             series.append((f"level {level}", spectrum.deltas, spectrum.values))
@@ -784,6 +797,7 @@ def main(argv=None) -> int:
         estimation.FitError,
         svgplot.PlotError,
         experiment.SeedReplayError,
+        NumericalFailure,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

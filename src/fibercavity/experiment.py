@@ -116,7 +116,9 @@ class Ensemble:
     normalized_detection: np.ndarray  # (n,)
     level: np.ndarray  # (n,) int, 1..6
     survived_hold: np.ndarray  # (n,) bool
-    # (n, k) int32, or int64 when a spectroscopy mean may exceed INT32_MEAN_LIMIT
+    # (n, k): uint16 while every spectroscopy mean stays within UINT16_MEAN_LIMIT,
+    # int32 within INT32_MEAN_LIMIT, int64 beyond; the experiment job drops the
+    # ensemble once accumulate_spectra has read it, before the per-level fits
     spectroscopy_counts: np.ndarray
 
     def __len__(self) -> int:
@@ -342,10 +344,21 @@ def _sequence_streams(base_seed: int, start: int, stop: int) -> list:
 # numpy's Poisson sampler refuses a mean above 9.223372006484771e18; the
 # limit sits below it by more than the rounding of the bound it is held to.
 POISSON_MEAN_LIMIT = 9.2e18
-# The spectroscopy count table is int32 while no mean exceeds this. A count
-# beyond 2**31 - 1 would then need a draw of at least twice its mean, about
-# 32768 standard deviations above it (numpy's own Poisson limit keeps 10).
+# The spectroscopy count table is uint16 while no mean exceeds UINT16_MEAN_LIMIT,
+# int32 while none exceeds INT32_MEAN_LIMIT, and int64 beyond. A count past
+# 2**16 - 1 would then lie (2**16 - 1 - 2**14) / 2**7, about 384 standard
+# deviations, above its mean, and one past 2**31 - 1 about 32768 (numpy's own
+# Poisson limit keeps 10).
+UINT16_MEAN_LIMIT = 2.0**14
 INT32_MEAN_LIMIT = 2.0**30
+
+
+def _count_dtype(mean_bound: float) -> type:
+    """The dtype of a count table whose Poisson means are at most ``mean_bound``:
+    uint16 up to UINT16_MEAN_LIMIT, int32 up to INT32_MEAN_LIMIT, int64 beyond."""
+    if mean_bound <= UINT16_MEAN_LIMIT:
+        return np.uint16
+    return np.int32 if mean_bound <= INT32_MEAN_LIMIT else np.int64
 
 
 def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float]:
@@ -423,8 +436,8 @@ def run_ensemble(
     divides by the same empty-cavity signal, so values compare
     across sequences. Sequences run in blocks of ``steady.rows_per_block``
     rows, which bounds the transients to one block. ``check_ensemble`` runs
-    first; the spectroscopy counts are int32 when its mean-count bound is at
-    most INT32_MEAN_LIMIT, int64 otherwise.
+    first; the spectroscopy counts take the narrowest dtype that its
+    mean-count bound allows (see ``_count_dtype``).
     """
     spec_mean_bound = check_ensemble(system, config, n_sequences)
     spec, det = config.spectroscopy, config.detection
@@ -438,8 +451,7 @@ def run_ensemble(
     local_g = np.empty(n)
     detection_counts = np.empty(n, dtype=int)
     survived = np.empty(n, dtype=bool)
-    count_type = np.int32 if spec_mean_bound <= INT32_MEAN_LIMIT else np.int64
-    counts = np.empty((n, detunings.size), dtype=count_type)
+    counts = np.empty((n, detunings.size), dtype=_count_dtype(spec_mean_bound))
     step = steady.rows_per_block(detunings.size)
     for start in range(0, n, step):
         block = slice(start, min(start + step, n))

@@ -9,12 +9,13 @@ import platform
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from fibercavity import (
-    SystemParams, experiment, fibermode, from_two_pi_mhz, normalized_transmission,
+    SystemParams, estimation, experiment, fibermode, from_two_pi_mhz, normalized_transmission,
 )
 from fibercavity.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fibercavity.dataio import (
@@ -257,6 +258,29 @@ def test_mode_solve_beyond_double_precision_is_numeric_failure(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    # the solved volume, 7.7e292 m^3, is finite, but not in um^3
+    ({"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}},
+     "mode volume 7.678e+292 m^3 overflows in um^3"),
+    # g overflows only at the solved volume, which the dump does not know
+    ({"atom": {"dipole_moment_cm": 1e154}}, "coupling rate overflows at the solved mode volume "),
+])
+def test_mode_solve_fault_that_only_the_solve_reveals_is_numeric_failure(
+    tmp_path, capsys, doc, message
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "mode"
+    argv = ("mode-solve", "--config", str(cfg), "--out", str(out))
+    assert run_cli(*argv, "--dump-config") == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"numerical failure: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length_m", [2.2250738585072014e-308, 9.99e-7])
 @pytest.mark.parametrize("extra", [[], ["--dump-config"]])
 def test_mode_solve_rejects_a_cavity_shorter_than_a_micrometre(tmp_path, capsys, length_m, extra):
@@ -323,6 +347,27 @@ def test_experiment_outputs_and_replay(tmp_path):
         if name.endswith(".manifest.json"):
             continue
         assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
+
+
+def test_the_experiment_job_frees_the_ensemble_before_the_first_fit(tmp_path, monkeypatch):
+    # the fits page in LAPACK; the count table must not be held under them
+    run_ensemble, fit_empty_cavity = experiment.run_ensemble, estimation.fit_empty_cavity
+    ensembles, alive = [], []
+
+    def tracked(*args, **kwargs):
+        ensemble = run_ensemble(*args, **kwargs)
+        ensembles.append(weakref.ref(ensemble))
+        return ensemble
+
+    def first_fit(spectrum):
+        alive.append(ensembles[0]() is not None)
+        return fit_empty_cavity(spectrum)
+
+    monkeypatch.setattr(experiment, "run_ensemble", tracked)
+    monkeypatch.setattr(estimation, "fit_empty_cavity", first_fit)
+    out = tmp_path / "e"
+    assert run_cli("experiment", "--out", str(out), "--seed", "11", "--sequences", "200") == EXIT_OK
+    assert len(ensembles) == 1 and alive == [False]
 
 
 def test_a_numpy_whose_seeding_the_replay_misses_fails_before_writing(

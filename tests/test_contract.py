@@ -1,15 +1,18 @@
-"""The exit-code contract on the extreme one-field documents that used to break it.
+"""The exit-code contract on the extreme documents that used to break it.
 
-Each document sets one NUMBER or RATE field of a subcommand to an extreme
+Each of CASES sets one NUMBER or RATE field of a subcommand to an extreme
 value, the rest left at its default (``tools/contract.py`` builds and runs
-all 235 such documents; its CI step runs them all). These 42 used to end in a
-traceback, exit 0 with numpy warnings, or print warnings before their one
-error line. Each is run in a fresh interpreter that shows every warning, and
-must exit 0, 2 or 3 without a traceback, print nothing on exit 0 and one line
-otherwise, and write no file unless it exits 0.
+all 235 such documents and its fixed multi-field DOCUMENTS; its CI step runs
+them all). These 42 used to end in a traceback, exit 0 with numpy warnings,
+or print warnings before their one error line; the fixed documents used to
+end in a traceback, or exit 2 on a config whose dump exits 0. Each is run in
+a fresh interpreter that shows every warning, and must exit 0, 2 or 3
+without a traceback, print nothing on exit 0 and one line otherwise, write no
+file unless it exits 0, and exit 2 only if its ``--dump-config`` does.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -70,5 +73,13 @@ CASES = [
 )
 def test_an_extreme_value_keeps_the_exit_code_contract(tmp_path, subcommand, pointer, value):
     doc = contract.document(subcommand, pointer, value)
+    code, err, broken = contract.check(subcommand, doc, str(tmp_path))
+    assert broken is None, f"exit {code}: {err}"
+
+
+@pytest.mark.parametrize(
+    "subcommand, doc", contract.DOCUMENTS, ids=[json.dumps(d) for _, d in contract.DOCUMENTS]
+)
+def test_a_fixed_document_keeps_the_exit_code_contract(tmp_path, subcommand, doc):
     code, err, broken = contract.check(subcommand, doc, str(tmp_path))
     assert broken is None, f"exit {code}: {err}"

@@ -369,19 +369,27 @@ def test_largest_mean_count_reaches_its_bound_and_draws(measured_params):
     assert caught.value.field == "spectroscopy"
 
 
-def test_bench_sized_counts_are_int32(measured_params):
-    # the ensemble-wide workload of bench/: 2000 sequences on 1001 points
-    config = make_config(load_probability=0.5, poisson_loading=True, hold_time=5e-3)
-    detunings = np.linspace(-25.0, 25.0, 1001) * TW
-    counts = run_ensemble(measured_params, config, detunings, 2000, base_seed=3).spectroscopy_counts
-    assert counts.dtype == np.int32 and counts.nbytes == 4 * 2000 * 1001
+@pytest.mark.parametrize("n, points, loading", [
+    (2000, 1001, dict(load_probability=0.5, poisson_loading=True)),  # ensemble-wide of bench/
+    (20000, 21, {}),  # ensemble-narrow of bench/
+])
+def test_bench_sized_counts_are_uint16(measured_params, n, points, loading):
+    config = make_config(hold_time=5e-3, **loading)
+    detunings = np.linspace(-25.0, 25.0, points) * TW
+    counts = run_ensemble(measured_params, config, detunings, n, base_seed=3).spectroscopy_counts
+    assert counts.dtype == np.uint16 and counts.nbytes == 2 * n * points
 
 
-@pytest.mark.parametrize("above, dtype", [(False, np.int32), (True, np.int64)])
-def test_count_dtype_switches_at_the_int32_mean_limit(measured_params, above, dtype):
-    # the last probe power whose mean-count bound stays within 2**30, or the next one
+@pytest.mark.parametrize("limit, above, dtype", [
+    (2.0**14, False, np.uint16),
+    (2.0**14, True, np.int32),
+    (2.0**30, False, np.int32),
+    (2.0**30, True, np.int64),
+])
+def test_count_dtype_switches_at_each_mean_limit(measured_params, limit, above, dtype):
+    # the last probe power whose mean-count bound stays within the limit, or the next one
+    assert (experiment.UINT16_MEAN_LIMIT, experiment.INT32_MEAN_LIMIT) == (2.0**14, 2.0**30)
     system = dataclasses.replace(measured_params, cavity_detuning=4.0 * TW)
-    limit = experiment.INT32_MEAN_LIMIT
     signal = empty_cavity_signal_rate(system, ProbeConfig(power=1.0, duration=1.0), 0.5)
     peak = 1.0 + (system.cavity_detuning / system.kappa) ** 2
 
@@ -394,14 +402,16 @@ def test_count_dtype_switches_at_the_int32_mean_limit(measured_params, above, dt
         power = np.nextafter(power, 0.0)
     while experiment.check_ensemble(system, config_at(np.nextafter(power, np.inf)), 3) <= limit:
         power = np.nextafter(power, np.inf)
+    # the bound meets the limit exactly, so a table chosen by "<" would differ
+    assert experiment.check_ensemble(system, config_at(power), 3) == limit
     if above:
         power = np.nextafter(power, np.inf)
-    assert (experiment.check_ensemble(system, config_at(power), 3) > limit) == above
+        assert experiment.check_ensemble(system, config_at(power), 3) > limit
     # an empty cavity probed at the cavity detuning has the largest mean
     ensemble = run_ensemble(system, config_at(power), np.array([-4.0, 4.0]) * TW, 3, base_seed=9)
     counts = ensemble.spectroscopy_counts
     assert counts.dtype == dtype
-    assert np.all(np.abs(counts[:, 1] / limit - 1.0) < 1e-3)
+    assert np.all(np.abs(counts[:, 1] - limit) < 8.0 * math.sqrt(limit))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 1])
@@ -444,6 +454,9 @@ def reference_ensemble(system, config, detunings, n, seed):
     transmitted = normalized_transmission(system, detunings, g=probed_g)
     means = (gains[:, None] * spec_signal * transmitted + background) * spec.duration
     counts = [rng.poisson(row) for rng, row in zip(rngs, means)]
+    # the count table is as narrow as the largest mean that the config allows
+    bound = experiment.check_ensemble(system, config, n)
+    dtype = np.uint16 if bound <= 2.0**14 else np.int32 if bound <= 2.0**30 else np.int64
     normalized = (detection / det.duration - background) / det_signal
     return Ensemble(
         detunings=detunings,
@@ -453,8 +466,7 @@ def reference_ensemble(system, config, detunings, n, seed):
         normalized_detection=normalized,
         level=classify_level(normalized, config.bin_edges),
         survived_hold=survived,
-        # int32, as the mean-count bound of every config given here allows
-        spectroscopy_counts=np.array(counts, dtype=np.int32).reshape(n, detunings.size),
+        spectroscopy_counts=np.array(counts, dtype=dtype).reshape(n, detunings.size),
     )
 
 

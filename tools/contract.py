@@ -4,13 +4,17 @@ Usage: python tools/contract.py
 
 Every NUMBER or RATE field of ``spectrum``, ``ringdown``, ``mode-solve`` and
 ``experiment`` (40 sequences) is set alone to each of VALUES (a rate in
-rad/s), in a document that otherwise holds the defaults, and run in its own
-interpreter: ``spectrum`` and ``experiment`` with ``--plot``, ``ringdown``
-with ``--plot --compare --triptych``. A run keeps the contract when
+rad/s), in a document that otherwise holds the defaults; each of the fixed
+DOCUMENTS, faults that no one-field document shows, runs as well. Each runs
+in its own interpreter: ``spectrum`` and ``experiment`` with ``--plot``,
+``ringdown`` with ``--plot --compare --triptych``. A run keeps the contract
+when
 
 - it exits 0, 2 or 3, and prints no traceback;
 - its stderr is empty on exit 0, and one line otherwise;
-- it writes no file unless it exits 0.
+- it writes no file unless it exits 0;
+- it exits 2 only if its ``--dump-config`` does, since a bad config is
+  refused before anything runs.
 
 Prints every run that breaks it and a count, and exits 1 if any run breaks it.
 """
@@ -42,6 +46,13 @@ FLAGS = {
     "mode-solve": (),
     "experiment": ("--plot",),
 }
+# fixed (subcommand, document) runs, for faults found outside the one-field runs
+DOCUMENTS = (
+    # the solved mode volume is finite in m^3, but not in um^3
+    ("mode-solve", {"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}}),
+    # g overflows only at the solved mode volume, which the dump cannot see
+    ("mode-solve", {"atom": {"dipole_moment_cm": 1e154}}),
+)
 # the other value of a document that sets one of the two fiber indices
 PARTNER = {"/fiber/n_core": ("n_clad", 1.45), "/fiber/n_clad": ("n_core", 1.46)}
 
@@ -57,13 +68,14 @@ def fields(schema: dict, pointer: str = ""):
 
 
 def runs() -> list:
-    """(subcommand, pointer, value) of every single-fault run."""
-    return [
-        (subcommand, pointer, value)
+    """(subcommand, label, document) of every single-fault run, then of DOCUMENTS."""
+    single = [
+        (subcommand, f"{pointer} = {value!r}", document(subcommand, pointer, value))
         for subcommand, schema in SCHEMAS.items()
         for pointer, _ in fields(schema)
         for value in VALUES
     ]
+    return single + [(subcommand, json.dumps(doc), doc) for subcommand, doc in DOCUMENTS]
 
 
 def document(subcommand: str, pointer: str, value: float) -> dict:
@@ -88,12 +100,16 @@ def check(subcommand: str, doc: dict, workdir: str) -> tuple:
         json.dump(doc, handle)
     env = dict(os.environ, PYTHONWARNINGS="default")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "fibercavity.cli", subcommand, "--config", config,
+            "--out", out, *FLAGS[subcommand]]
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "fibercavity.cli", subcommand, "--config", config,
-             "--out", out, *FLAGS[subcommand]],
-            env=env, cwd=workdir, capture_output=True, text=True, timeout=300,
+            argv, env=env, cwd=workdir, capture_output=True, text=True, timeout=300
         )
+        # a dump that exits 2 refuses the config as the run does, so only an exit 2 needs one
+        dumped = subprocess.run(
+            argv + ["--dump-config"], env=env, cwd=workdir, capture_output=True, timeout=300
+        ).returncode if proc.returncode == 2 else None
     except subprocess.TimeoutExpired:
         return None, "", "no exit within 300 s"
     code, err = proc.returncode, proc.stderr
@@ -109,17 +125,18 @@ def check(subcommand: str, doc: dict, workdir: str) -> tuple:
         broken = f"{lines} stderr lines"
     elif code and written:
         broken = f"wrote {written}"
+    elif dumped not in (None, 2):
+        broken = f"exit 2, but its dump exits {dumped}"
     else:
         broken = None
     return code, err, broken
 
 
 def _run_one(run):
-    subcommand, pointer, value = run
+    subcommand, label, doc = run
     with tempfile.TemporaryDirectory() as workdir:
-        code, err, broken = check(subcommand, document(*run), workdir)
-    return {"subcommand": subcommand, "pointer": pointer, "value": value,
-            "exit": code, "broken": broken, "stderr": err}
+        code, err, broken = check(subcommand, doc, workdir)
+    return {"run": f"{subcommand} {label}", "exit": code, "broken": broken, "stderr": err}
 
 
 def main() -> int:
@@ -128,8 +145,7 @@ def main() -> int:
     broken = [r for r in results if r["broken"]]
     for r in broken:
         last = r["stderr"].strip().splitlines()[-1:] or [""]
-        print(f"{r['subcommand']} {r['pointer']} = {r['value']!r}: exit {r['exit']}, "
-              f"{r['broken']}: {last[0]}")
+        print(f"{r['run']}: exit {r['exit']}, {r['broken']}: {last[0]}")
     print(f"{len(broken)} of {len(results)} runs break the contract")
     return 1 if broken else 0
 
