@@ -1,9 +1,17 @@
 """File formats: spectrum/trace CSV, event JSON-lines, run manifests.
 
 Floats are written with ``repr``, which round-trips bit-exactly through
-``float()`` in Python 3. Writers refuse NaN/Inf; readers raise DataFormatError,
-naming the line, on a cell that is not a finite number. All files are written
-atomically (temp file in the target directory, then rename).
+``float()`` in Python 3. Writers refuse NaN/Inf, and the events writer
+refuses negative ints. Readers raise DataFormatError, naming the line, on a
+cell that is not a finite number, on a header cell past the declared and
+optional columns and on a row whose cells do not match the header. All files
+are written atomically (temp file in the target directory, then rename).
+
+The CSV writers convert a whole column to its file unit with numpy and join
+the ``repr`` of each cell. ``events.jsonl`` is built a block of sequences at
+a time in one reusable uint8 frame, whose constant text is filled in once;
+each block writes only its NUL-padded value slots, and the padding is
+dropped with one ``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -34,8 +42,9 @@ class DataFormatError(ValueError):
     """A data file does not match its expected format."""
 
 
-def unit_exact_value(value: float, factor: float) -> float:
-    """A double x with x * factor == value when one exists, else value/factor.
+def unit_exact_value(value, factor: float):
+    """A double x with x * factor == value when one exists, else value/factor;
+    elementwise on an array, a float for a scalar.
 
     Readers recover values as ``parsed * factor``; the naive quotient does
     not always survive that round trip. If some double y has y * factor ==
@@ -45,17 +54,12 @@ def unit_exact_value(value: float, factor: float) -> float:
     apart, and x * factor may round down while y lies one ulp above x. So x
     or the next double up is exact; a foreign value falls back to x.
     """
-    x = value / factor
-    if x * factor == value:
-        return x
-    up = math.nextafter(x, math.inf)
-    return up if up * factor == value else x
-
-
-def _unit_exact_repr(value: float, factor: float) -> str:
-    """Decimal string form of unit_exact_value; exact for lattice values,
-    which makes read -> write a byte-level fixed point for our own files."""
-    return repr(unit_exact_value(value, factor))
+    value = np.asarray(value, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is inf, as in float arithmetic
+        x = value / factor
+        up = np.nextafter(x, math.inf)
+        exact = np.where((x * factor != value) & (up * factor == value), up, x)
+    return exact if exact.ndim else float(exact)
 
 
 def _require_finite(array, what: str):
@@ -67,12 +71,12 @@ def _require_finite(array, what: str):
 
 @contextlib.contextmanager
 def _atomic_open(path):
-    """A text handle on a temp file next to path, renamed onto path (atomic
+    """A binary handle on a temp file next to path, renamed onto path (atomic
     on POSIX) when the block ends; the temp file is removed on error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -90,18 +94,17 @@ def json_text(doc) -> str:
 def atomic_write_text(path, text: str):
     """Write text to path via a temp file and rename (atomic on POSIX)."""
     with _atomic_open(path) as handle:
-        handle.write(text)
+        handle.write(text.encode("utf-8"))
 
 
 def _rows_to_csv(header: tuple, x, factor: float, columns) -> str:
     """CSV text: ``header``, then one row per entry of x, written in units of
-    ``factor`` (unit-exact), followed by that entry of each column."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for first, *rest in zip(x.tolist(), *(column.tolist() for column in columns)):
-        writer.writerow([_unit_exact_repr(first, factor), *map(repr, rest)])
-    return buffer.getvalue()
+    ``factor`` (unit-exact, which makes read -> write a byte-level fixed point
+    for our own files), followed by that entry of each column. No cell needs
+    CSV quoting: the header's names and the ``repr`` of finite floats hold
+    no comma, quote or line break."""
+    cells = (map(repr, column.tolist()) for column in (unit_exact_value(x, factor), *columns))
+    return "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
@@ -123,15 +126,20 @@ def _csv_columns(text: str, header: tuple, what: str, optional: str | None = Non
         raise DataFormatError(f"{what} CSV must start with header {','.join(header)}")
     has_optional = len(first) > len(header) and first[len(header)] == optional
     width = len(header) + has_optional
+    if len(first) > width:
+        raise DataFormatError(
+            f"{what} CSV line {reader.line_num}: unknown column {first[width]!r} "
+            f"after {','.join(first[:width])}"
+        )
     rows = []
     for row in reader:
         if not row:
             continue
         try:
-            values = [float(cell) for cell in row[:width]]
+            values = [float(cell) for cell in row]
         except ValueError:
             values = [math.nan]
-        if len(values) < width or not all(map(math.isfinite, values)):
+        if len(values) != width or not all(map(math.isfinite, values)):
             raise DataFormatError(
                 f"{what} CSV line {reader.line_num}: expected {width} finite numbers, "
                 f"got {row!r}"
@@ -189,43 +197,110 @@ def detuning_keys(detunings) -> list:
     return list(keys)
 
 
+# The longest repr of a finite double, e.g. -2.2250738585072014e-308
+FLOAT_REPR_WIDTH = 24
+
+
+def _require_digits(values, what: str):
+    """The narrowest unsigned dtype that holds the ints ``values``, and the
+    number of digits of the largest; negative values are refused."""
+    if values.size and values.min() < 0:
+        raise DataFormatError(f"refusing to write negative values in {what}")
+    top = int(values.max()) if values.size else 0
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max)
+    return dtype, len(str(top))
+
+
+def _put_digits(slots, values, dtype):
+    """Write the non-negative ints ``values``, in ``dtype``, into the uint8
+    ``slots``, one digit a byte along their last axis: ASCII digits at the
+    end, NUL before."""
+    rest = values.astype(dtype)
+    units = slots.shape[-1] - 1
+    for i in range(units, -1, -1):
+        quotient = rest // 10
+        digit = rest - quotient * 10
+        # '0' + digit, or NUL once nothing is left of the value; the units always show
+        digit += 48 * np.minimum(rest, 1) if i < units else 48
+        slots[..., i] = digit
+        rest = quotient
+
+
+def _put_strings(slots, strings):
+    """Write the ASCII ``strings``, NUL-padded, into the rows of the uint8 ``slots``."""
+    slots[...] = np.asarray(strings, dtype=f"S{slots.shape[-1]}").view(np.uint8).reshape(slots.shape)
+
+
 def _event_blocks(ensemble):
-    """The events.jsonl text of each block of ``rows_per_block`` sequences, in order.
+    """The events.jsonl bytes of each block of ``rows_per_block`` sequences, in order.
 
     Each line is what ``json.dumps(..., sort_keys=True)`` writes for the
-    sequence's record: one %-template per grid holds the sorted keys, with
-    the count columns in key order, ``%d`` for ints and ``%r`` (the
-    ``float.__repr__`` json uses) for floats. Non-finite floats are refused
-    before anything is yielded.
+    sequence's record. A block is one uint8 frame, a row per line, that holds
+    the constant text (the field names and every sorted ``"key": ``) and a
+    fixed-width slot per value, NUL-padded: ints as ASCII digits, floats as
+    their ``repr`` (the ``float.__repr__`` json uses), flags as ``true`` or
+    ``false``. Each block overwrites only the slots, and dropping the NULs
+    leaves its lines. Non-finite floats and negative ints are refused before
+    anything is yielded.
     """
     keys = detuning_keys(ensemble.detunings)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    local_g = _require_finite(ensemble.local_g / TWO_PI_MHZ, "event local_g")
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    # a finite rate stays finite in 2pi x MHz; each block converts its own rows
+    local_g = _require_finite(ensemble.local_g, "event local_g")
     normalized = _require_finite(ensemble.normalized_detection, "event normalized_detection")
-    counts = ", ".join(f"{json.dumps(keys[j])}: %d" for j in order)
-    template = (
-        '{"atom_present": %s, "detection_counts": %d, "level": %d, '
-        '"local_g": {"unit": "two_pi_mhz", "value": %r}, "normalized_detection": %r, '
-        '"spectroscopy_counts": {' + counts + '}, "survived_hold": %s}\n'
-    )
+    digits = {
+        name: _require_digits(getattr(ensemble, name), f"event {name}")
+        for name in ("detection_counts", "level", "spectroscopy_counts")
+    }
 
-    def block(rows):
-        columns = zip(
-            np.where(ensemble.atom_present[rows], "true", "false").tolist(),
-            ensemble.detection_counts[rows].tolist(),
-            ensemble.level[rows].tolist(),
-            local_g[rows].tolist(),
-            normalized[rows].tolist(),
-            ensemble.spectroscopy_counts[rows, order].tolist(),
-            np.where(ensemble.survived_hold[rows], "true", "false").tolist(),
-        )
-        return "".join(
-            template % (present, detection, level, g, value, *row, survived)
-            for present, detection, level, g, value, row, survived in columns
-        )
+    line, slots = bytearray(), {}
+
+    def slot(name, width):
+        slots[name] = slice(len(line), len(line) + width)
+        line.extend(bytes(width))
+
+    line += b'{"atom_present": '
+    slot("atom_present", 5)
+    line += b', "detection_counts": '
+    slot("detection_counts", digits["detection_counts"][1])
+    line += b', "level": '
+    slot("level", digits["level"][1])
+    line += b', "local_g": {"unit": "two_pi_mhz", "value": '
+    slot("local_g", FLOAT_REPR_WIDTH)
+    line += b'}, "normalized_detection": '
+    slot("normalized_detection", FLOAT_REPR_WIDTH)
+    line += b', "spectroscopy_counts": {'
+    # the counts form a grid: each cell is a separator, a key padded to the
+    # longest and a count slot
+    count_dtype, count_width = digits["spectroscopy_counts"]
+    cells = [(", " if i else "") + f"{json.dumps(keys[j])}: " for i, j in enumerate(order)]
+    cell_width = max(map(len, cells), default=0) + count_width
+    grid = slice(len(line), len(line) + len(cells) * cell_width)
+    line += b"".join(cell.encode().ljust(cell_width, b"\0") for cell in cells)
+    line += b'}, "survived_hold": '
+    slot("survived_hold", 5)
+    line += b"}\n"
 
     step = rows_per_block(len(keys))
-    return (block(slice(i, i + step)) for i in range(0, len(ensemble), step))
+    text = line * step
+    frame = np.frombuffer(text, dtype=np.uint8).reshape(step, len(line))
+    count_slots = frame[:, grid].reshape(step, len(cells), cell_width)[:, :, -count_width:]
+
+    def block(start):
+        rows = slice(start, start + step)
+        part = frame[: min(step, len(ensemble) - start)]
+        for name in ("atom_present", "survived_hold"):
+            _put_strings(part[:, slots[name]], np.where(getattr(ensemble, name)[rows], b"true", b"false"))
+        for name, values in (
+            ("local_g", local_g[rows] / TWO_PI_MHZ), ("normalized_detection", normalized[rows])
+        ):
+            _put_strings(part[:, slots[name]], list(map(repr, values.tolist())))
+        for name in ("detection_counts", "level"):
+            _put_digits(part[:, slots[name]], getattr(ensemble, name)[rows], digits[name][0])
+        _put_digits(count_slots[: len(part)], ensemble.spectroscopy_counts[rows, order], count_dtype)
+        return (text if len(part) == step else text[: part.nbytes]).translate(None, b"\0")
+
+    return (block(start) for start in range(0, len(ensemble), step))
 
 
 def write_events_jsonl(path, ensemble):

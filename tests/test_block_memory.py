@@ -152,3 +152,12 @@ def test_every_ensemble_stage_holds_at_most_one_block_of_scratch(measured_params
     assert len(ensemble) == 2000 and 6 in spectra
     _, scratch["fit_rabi_g"] = traced(lambda: fit_rabi_g(spectra[6], measured_params))
     assert {stage: size for stage, size in scratch.items() if size > TRANSIENT_BOUND} == {}
+
+
+def test_events_writer_holds_at_most_one_block_of_scratch_on_the_narrow_shape(tmp_path):
+    # 20000 sequences x 21 detunings, the shape of a narrow ensemble
+    sizes = LEVEL_SIZES[:-1] + (20000 - sum(LEVEL_SIZES[:-1]),)
+    ensemble = ensemble_of_levels(21, sizes, seed=5)
+    assert ensemble.spectroscopy_counts.shape == (20000, 21)
+    _, scratch = traced(lambda: write_events_jsonl(tmp_path / "events.jsonl", ensemble))
+    assert scratch <= TRANSIENT_BOUND

@@ -100,6 +100,28 @@ def test_blank_lines_in_a_data_csv_are_skipped(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        # a sigma column misnamed would be fitted unweighted
+        (
+            f"{SPECTRUM_HEADER},sigmas\n-2,0.5,0.1\n0,1.0,0.1\n2,0.5,0.1\n",
+            "line 1: unknown column 'sigmas' after " + SPECTRUM_HEADER,
+        ),
+        # the third cell would be dropped
+        (
+            f"{SPECTRUM_HEADER}\n-2,0.5,9\n0,1.0\n2,0.5\n",
+            "line 2: expected 2 finite numbers, got ['-2', '0.5', '9']",
+        ),
+    ],
+    ids=["header", "row"],
+)
+def test_a_data_csv_cell_beyond_its_columns_is_refused(tmp_path, capsys, csv_text, message):
+    assert fit(tmp_path, "lorentzian", csv_text) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"data format error: spectrum CSV {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_model_that_is_not_finite_at_the_start_is_a_numerical_failure(tmp_path, capsys):
     # the start's half width is half the span, 6e306 rad/s, whose square overflows
     csv_text = f"{SPECTRUM_HEADER}\n-1e300,1.0\n0.0,1.0\n1e300,1.0\n"
