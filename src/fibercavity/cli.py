@@ -422,7 +422,7 @@ def _spectrum(args):
         for g, name in zip(g_values, names):
             values = steady.normalized_transmission(system.with_g(g), deltas)
             spectrum = estimation.Spectrum(deltas=deltas, values=values)
-            dataio.write_spectrum_csv(out.path(name), spectrum)
+            out.text(name, dataio.spectrum_to_csv(spectrum))
             series.append((f"g = 2π×{two_pi_mhz(g):.1f} MHz", deltas, values))
         if args.plot:
             out.text("spectrum.svg", _transmission_chart(series, "Normalized transmission"))
@@ -463,7 +463,7 @@ def _ringdown(args):
         if method in ("integrate", "both"):
             traces["integrated"] = ringdown.integrate_ringdown(params, t_grid)
         for name, trace in traces.items():
-            dataio.write_trace_csv(out.path(f"ringdown_{name}.csv"), trace)
+            out.text(f"ringdown_{name}.csv", dataio.trace_to_csv(trace))
 
         summary = {}
         if args.compare:
@@ -641,7 +641,7 @@ def _experiment(args):
         # without the count table still held
         del ensemble
         for level, spectrum in sorted(spectra.items()):
-            dataio.write_spectrum_csv(out.path(f"spectrum_level_{level}.csv"), spectrum)
+            out.text(f"spectrum_level_{level}.csv", dataio.spectrum_to_csv(spectrum))
             series.append((f"level {level}", spectrum.deltas, spectrum.values))
             if len(spectrum) >= 3 and occupancy[level] >= 5:
                 # level 1 is the empty cavity; higher levels fit g
@@ -676,7 +676,7 @@ def _run(args) -> int:
     returns it with a job; ``--dump-config`` prints the config instead of
     running the job. The job writes the outputs and returns (exit code,
     inputs); a ``<first output>.manifest.json`` then records the run."""
-    started = _seconds()
+    started = time.monotonic()
     config, job = args.prepare(args)
     if args.dump_config:
         print(dataio.json_text(config), end="")
@@ -687,15 +687,10 @@ def _run(args) -> int:
         subcommand=args.subcommand, config=config, seed=config["seed"],
         inputs=[str(p) for p in inputs], outputs=out.paths,
         tool_version=__version__, numpy_version=np.__version__,
-        python_version="%d.%d.%d" % sys.version_info[:3], duration_s=_seconds(started),
+        python_version="%d.%d.%d" % sys.version_info[:3], duration_s=time.monotonic() - started,
     )
-    dataio.write_manifest(out.paths[0] + ".manifest.json", manifest)
+    dataio.atomic_write_text(out.paths[0] + ".manifest.json", manifest.to_json())
     return code
-
-
-def _seconds(since: float = 0.0) -> float:
-    """The run's clock: monotonic seconds, less ``since``."""
-    return time.monotonic() - since
 
 
 def _comma_floats(text: str) -> list:

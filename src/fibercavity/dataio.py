@@ -1,17 +1,19 @@
 """File formats: spectrum/trace CSV, event JSON-lines, run manifests.
 
 Floats are written with ``repr``, which round-trips bit-exactly through
-``float()`` in Python 3. Writers refuse NaN/Inf, and the events writer
-refuses negative ints. Readers raise DataFormatError, naming the line, on a
-cell that is not a finite number, on a header cell past the declared and
+``float()`` in Python 3. The CSV writers refuse a column that holds NaN/Inf
+in its file unit, naming its header cell; the events writer refuses NaN/Inf
+floats and negative ints. Readers raise DataFormatError, naming the line, on
+a cell that is not a finite number, on a header cell past the declared and
 optional columns and on a row whose cells do not match the header. All files
 are written atomically (temp file in the target directory, then rename).
 
 The CSV writers convert a whole column to its file unit with numpy and join
 the ``repr`` of each cell. ``events.jsonl`` is built a block of sequences at
 a time in one reusable uint8 frame, whose constant text is filled in once;
-each block writes only its NUL-padded value slots, and the padding is
-dropped with one ``bytes.translate``.
+each block writes only its NUL-padded value slots, ints as digits computed
+in their column's own dtype, and the padding is dropped with one
+``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -100,21 +102,25 @@ def atomic_write_text(path, text: str):
 def _rows_to_csv(header: tuple, x, factor: float, columns) -> str:
     """CSV text: ``header``, then one row per entry of x, written in units of
     ``factor`` (unit-exact, which makes read -> write a byte-level fixed point
-    for our own files), followed by that entry of each column. No cell needs
-    CSV quoting: the header's names and the ``repr`` of finite floats hold
-    no comma, quote or line break."""
-    cells = (map(repr, column.tolist()) for column in (unit_exact_value(x, factor), *columns))
+    for our own files), followed by that entry of each column. A column with
+    a cell that is not finite in its file unit is refused, named by its
+    header cell. No cell needs CSV quoting: the header's names and the
+    ``repr`` of finite floats hold no comma, quote or line break."""
+    columns = [
+        _require_finite(column, f"column {name}")
+        for name, column in zip(header, (unit_exact_value(x, factor), *columns))
+    ]
+    cells = (map(repr, column.tolist()) for column in columns)
     return "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
     """Render a spectrum as CSV with detunings in the 2pi x MHz convention."""
-    deltas = _require_finite(spectrum.deltas, "spectrum detunings")
-    columns, header = [_require_finite(spectrum.values, "spectrum values")], SPECTRUM_HEADER
+    columns, header = [spectrum.values], SPECTRUM_HEADER
     if spectrum.sigmas is not None:
-        columns.append(_require_finite(spectrum.sigmas, "spectrum sigmas"))
+        columns.append(spectrum.sigmas)
         header += ("sigma",)
-    return _rows_to_csv(header, deltas, TWO_PI_MHZ, columns)
+    return _rows_to_csv(header, spectrum.deltas, TWO_PI_MHZ, columns)
 
 
 def _csv_columns(text: str, header: tuple, what: str, optional: str | None = None):
@@ -148,10 +154,6 @@ def _csv_columns(text: str, header: tuple, what: str, optional: str | None = Non
     return np.array(rows, dtype=float).reshape(-1, width).T.copy()
 
 
-def write_spectrum_csv(path, spectrum: Spectrum):
-    atomic_write_text(path, spectrum_to_csv(spectrum))
-
-
 def read_spectrum_csv(path) -> Spectrum:
     with open(path, "r", encoding="utf-8") as handle:
         columns = _csv_columns(handle.read(), SPECTRUM_HEADER, "spectrum", optional="sigma")
@@ -164,13 +166,7 @@ def read_spectrum_csv(path) -> Spectrum:
 
 def trace_to_csv(trace: RingdownTrace) -> str:
     """Render a ring-down trace as CSV with times in ns."""
-    times = _require_finite(trace.times, "trace times")
-    intensities = _require_finite(trace.intensities, "trace intensities")
-    return _rows_to_csv(TRACE_HEADER, times, NS, [intensities])
-
-
-def write_trace_csv(path, trace: RingdownTrace):
-    atomic_write_text(path, trace_to_csv(trace))
+    return _rows_to_csv(TRACE_HEADER, trace.times, NS, [trace.intensities])
 
 
 def read_trace_csv(path) -> RingdownTrace:
@@ -201,29 +197,26 @@ def detuning_keys(detunings) -> list:
 FLOAT_REPR_WIDTH = 24
 
 
-def _require_digits(values, what: str):
-    """The narrowest unsigned dtype that holds the ints ``values``, and the
-    number of digits of the largest; negative values are refused."""
+def _require_digits(values, what: str) -> int:
+    """The number of digits of the largest of the ints ``values``; negative
+    values are refused."""
     if values.size and values.min() < 0:
         raise DataFormatError(f"refusing to write negative values in {what}")
-    top = int(values.max()) if values.size else 0
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max)
-    return dtype, len(str(top))
+    return len(str(int(values.max()) if values.size else 0))
 
 
-def _put_digits(slots, values, dtype):
-    """Write the non-negative ints ``values``, in ``dtype``, into the uint8
-    ``slots``, one digit a byte along their last axis: ASCII digits at the
-    end, NUL before."""
-    rest = values.astype(dtype)
+def _put_digits(slots, values):
+    """Write the non-negative ints ``values``, in their own dtype, into the
+    uint8 ``slots``, one digit a byte along their last axis: ASCII digits at
+    the end, NUL before."""
     units = slots.shape[-1] - 1
     for i in range(units, -1, -1):
-        quotient = rest // 10
-        digit = rest - quotient * 10
+        quotient = values // 10
+        digit = values - quotient * 10
         # '0' + digit, or NUL once nothing is left of the value; the units always show
-        digit += 48 * np.minimum(rest, 1) if i < units else 48
+        digit += 48 * np.minimum(values, 1) if i < units else 48
         slots[..., i] = digit
-        rest = quotient
+        values = quotient
 
 
 def _put_strings(slots, strings):
@@ -262,9 +255,9 @@ def _event_blocks(ensemble):
     line += b'{"atom_present": '
     slot("atom_present", 5)
     line += b', "detection_counts": '
-    slot("detection_counts", digits["detection_counts"][1])
+    slot("detection_counts", digits["detection_counts"])
     line += b', "level": '
-    slot("level", digits["level"][1])
+    slot("level", digits["level"])
     line += b', "local_g": {"unit": "two_pi_mhz", "value": '
     slot("local_g", FLOAT_REPR_WIDTH)
     line += b'}, "normalized_detection": '
@@ -272,7 +265,7 @@ def _event_blocks(ensemble):
     line += b', "spectroscopy_counts": {'
     # the counts form a grid: each cell is a separator, a key padded to the
     # longest and a count slot
-    count_dtype, count_width = digits["spectroscopy_counts"]
+    count_width = digits["spectroscopy_counts"]
     cells = [(", " if i else "") + f"{json.dumps(keys[j])}: " for i, j in enumerate(order)]
     cell_width = max(map(len, cells), default=0) + count_width
     grid = slice(len(line), len(line) + len(cells) * cell_width)
@@ -296,8 +289,8 @@ def _event_blocks(ensemble):
         ):
             _put_strings(part[:, slots[name]], list(map(repr, values.tolist())))
         for name in ("detection_counts", "level"):
-            _put_digits(part[:, slots[name]], getattr(ensemble, name)[rows], digits[name][0])
-        _put_digits(count_slots[: len(part)], ensemble.spectroscopy_counts[rows, order], count_dtype)
+            _put_digits(part[:, slots[name]], getattr(ensemble, name)[rows])
+        _put_digits(count_slots[: len(part)], ensemble.spectroscopy_counts[rows, order])
         return (text if len(part) == step else text[: part.nbytes]).translate(None, b"\0")
 
     return (block(start) for start in range(0, len(ensemble), step))
@@ -326,7 +319,3 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json_text(dataclasses.asdict(self))
-
-
-def write_manifest(path, manifest: RunManifest):
-    atomic_write_text(path, manifest.to_json())

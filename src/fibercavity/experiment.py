@@ -15,10 +15,10 @@ sensitivity studies; when several atoms load in that mode, they act through
 the single-excitation collective coupling sqrt(sum g_i^2).
 
 Sequences are independent given per-sequence RNG streams derived from
-(seed, sequence index); ensembles can run in parallel and merge
-deterministically by index. ``sequence_rng`` is the reference stream of
-sequence i; ``run_ensemble`` replays numpy's seeding of it for a whole block
-of indices at once, and draws the same numbers.
+(seed, sequence index), so sequence i does not depend on how many others
+run. ``sequence_rng`` is the reference stream of sequence i;
+``run_ensemble`` replays numpy's seeding of it for a whole block of indices
+at once, and draws the same numbers.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class Ensemble:
     level: np.ndarray  # (n,) int, 1..6
     survived_hold: np.ndarray  # (n,) bool
     # (n, k): uint16 while every spectroscopy mean stays within UINT16_MEAN_LIMIT,
-    # int32 within INT32_MEAN_LIMIT, int64 beyond; the experiment job drops the
-    # ensemble once accumulate_spectra has read it, before the per-level fits
+    # int64 beyond; the experiment job drops the ensemble once
+    # accumulate_spectra has read it, before the per-level fits
     spectroscopy_counts: np.ndarray
 
     def __len__(self) -> int:
@@ -345,20 +345,10 @@ def _sequence_streams(base_seed: int, start: int, stop: int) -> list:
 # limit sits below it by more than the rounding of the bound it is held to.
 POISSON_MEAN_LIMIT = 9.2e18
 # The spectroscopy count table is uint16 while no mean exceeds UINT16_MEAN_LIMIT,
-# int32 while none exceeds INT32_MEAN_LIMIT, and int64 beyond. A count past
-# 2**16 - 1 would then lie (2**16 - 1 - 2**14) / 2**7, about 384 standard
-# deviations, above its mean, and one past 2**31 - 1 about 32768 (numpy's own
-# Poisson limit keeps 10).
+# and int64, which holds every count numpy's Poisson sampler draws, beyond. A
+# count past 2**16 - 1 lies (2**16 - 1 - 2**14) / 2**7, about 384 standard
+# deviations, above a mean within the limit.
 UINT16_MEAN_LIMIT = 2.0**14
-INT32_MEAN_LIMIT = 2.0**30
-
-
-def _count_dtype(mean_bound: float) -> type:
-    """The dtype of a count table whose Poisson means are at most ``mean_bound``:
-    uint16 up to UINT16_MEAN_LIMIT, int32 up to INT32_MEAN_LIMIT, int64 beyond."""
-    if mean_bound <= UINT16_MEAN_LIMIT:
-        return np.uint16
-    return np.int32 if mean_bound <= INT32_MEAN_LIMIT else np.int64
 
 
 def _load(config: SequenceConfig, rng: np.random.Generator) -> tuple[bool, float]:
@@ -436,8 +426,8 @@ def run_ensemble(
     divides by the same empty-cavity signal, so values compare
     across sequences. Sequences run in blocks of ``steady.rows_per_block``
     rows, which bounds the transients to one block. ``check_ensemble`` runs
-    first; the spectroscopy counts take the narrowest dtype that its
-    mean-count bound allows (see ``_count_dtype``).
+    first; the spectroscopy counts are uint16 when its mean-count bound is at
+    most UINT16_MEAN_LIMIT, and int64 otherwise.
     """
     spec_mean_bound = check_ensemble(system, config, n_sequences)
     spec, det = config.spectroscopy, config.detection
@@ -451,7 +441,8 @@ def run_ensemble(
     local_g = np.empty(n)
     detection_counts = np.empty(n, dtype=int)
     survived = np.empty(n, dtype=bool)
-    counts = np.empty((n, detunings.size), dtype=_count_dtype(spec_mean_bound))
+    count_dtype = np.uint16 if spec_mean_bound <= UINT16_MEAN_LIMIT else np.int64
+    counts = np.empty((n, detunings.size), dtype=count_dtype)
     step = steady.rows_per_block(detunings.size)
     for start in range(0, n, step):
         block = slice(start, min(start + step, n))

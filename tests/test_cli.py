@@ -523,12 +523,19 @@ def test_ringdown_kappa_s_below_kappa_is_config_error(tmp_path, capsys):
 
 
 def test_writers_refuse_non_finite():
-    with pytest.raises(DataFormatError):
-        spectrum_to_csv(Spectrum(np.array([0.0, 1.0]), np.array([1.0, math.nan])))
+    # each refusal names the column by its header cell
+    deltas = np.array([0.0, 1.0])
+    with pytest.raises(DataFormatError, match="column transmission_normalized$"):
+        spectrum_to_csv(Spectrum(deltas, np.array([1.0, math.nan])))
+    with pytest.raises(DataFormatError, match="column sigma$"):
+        spectrum_to_csv(Spectrum(deltas, np.array([1.0, 0.5]), np.array([0.1, math.nan])))
     trace = RingdownTrace(np.array([0.0, 1e-9]), np.array([1.0, 0.5]))
     object.__setattr__(trace, "intensities", np.array([1.0, math.inf]))
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="column intensity_normalized$"):
         trace_to_csv(trace)
+    # 1e300 s is finite, but not in ns
+    with pytest.raises(DataFormatError, match="column t_ns$"):
+        trace_to_csv(RingdownTrace([0.0, 1e300], [1.0, 0.5]))
 
 
 def test_version_flag(capsys):

@@ -361,7 +361,7 @@ def test_largest_mean_count_reaches_its_bound_and_draws(measured_params):
     config = make_config(load_probability=0.0, normalization_drift=0.5,
                          spectroscopy=ProbeConfig(power=power, duration=1.0))
     ensemble = run_ensemble(system, config, detunings, 3, base_seed=5)
-    assert ensemble.spectroscopy_counts.dtype == np.int64  # int32 would wrap these counts
+    assert ensemble.spectroscopy_counts.dtype == np.int64
     assert ensemble.spectroscopy_counts[2, 2] > 0.998 * experiment.POISSON_MEAN_LIMIT
     over = dataclasses.replace(config, spectroscopy=ProbeConfig(power=1.01 * power, duration=1.0))
     with pytest.raises(ParameterError) as caught:
@@ -382,13 +382,13 @@ def test_bench_sized_counts_are_uint16(measured_params, n, points, loading):
 
 @pytest.mark.parametrize("limit, above, dtype", [
     (2.0**14, False, np.uint16),
-    (2.0**14, True, np.int32),
-    (2.0**30, False, np.int32),
+    (2.0**14, True, np.int64),
+    (2.0**30, False, np.int64),
     (2.0**30, True, np.int64),
 ])
 def test_count_dtype_switches_at_each_mean_limit(measured_params, limit, above, dtype):
     # the last probe power whose mean-count bound stays within the limit, or the next one
-    assert (experiment.UINT16_MEAN_LIMIT, experiment.INT32_MEAN_LIMIT) == (2.0**14, 2.0**30)
+    assert experiment.UINT16_MEAN_LIMIT == 2.0**14
     system = dataclasses.replace(measured_params, cavity_detuning=4.0 * TW)
     signal = empty_cavity_signal_rate(system, ProbeConfig(power=1.0, duration=1.0), 0.5)
     peak = 1.0 + (system.cavity_detuning / system.kappa) ** 2
@@ -454,9 +454,9 @@ def reference_ensemble(system, config, detunings, n, seed):
     transmitted = normalized_transmission(system, detunings, g=probed_g)
     means = (gains[:, None] * spec_signal * transmitted + background) * spec.duration
     counts = [rng.poisson(row) for rng, row in zip(rngs, means)]
-    # the count table is as narrow as the largest mean that the config allows
+    # the count table is uint16 while the largest mean that the config allows is within 2**14
     bound = experiment.check_ensemble(system, config, n)
-    dtype = np.uint16 if bound <= 2.0**14 else np.int32 if bound <= 2.0**30 else np.int64
+    dtype = np.uint16 if bound <= 2.0**14 else np.int64
     normalized = (detection / det.duration - background) / det_signal
     return Ensemble(
         detunings=detunings,

@@ -1,10 +1,10 @@
 """The events.jsonl and CSV writers against row-by-row references.
 
 ``events.jsonl`` must hold what ``json.dumps(..., sort_keys=True)`` writes
-for each record, whatever the count table's dtype, the digits of its values
-and where the blocks end. Each CSV must hold what ``csv.writer`` writes from
-the ``repr`` of each cell, the first column taken through the scalar
-``unit_exact_value``.
+for each record, whatever the dtypes of its int columns, the digits of their
+values and where the blocks end. Each CSV must hold what ``csv.writer``
+writes from the ``repr`` of each cell, the first column taken through the
+scalar ``unit_exact_value``, or be refused when a cell is not finite there.
 """
 
 import csv
@@ -88,6 +88,21 @@ def test_detection_counts_and_every_level_are_what_json_dumps_writes(tmp_path, d
     counts = np.full((6, 3), 7, dtype=np.uint16)
     ensemble = hand_built(counts, detection_counts, level=[1, 2, 3, 4, 5, 6])
     assert written(tmp_path, ensemble) == json_dumps_events(ensemble)
+
+
+def test_events_bytes_do_not_depend_on_the_int_dtypes(tmp_path):
+    counts = np.random.default_rng(5).poisson(200.0, size=(7, 21))
+    counts[0, :4] = [0, 9, 10, 255]
+    detection_counts, level = [0, 9, 10, 99, 100, 255, 7], [1, 2, 3, 4, 5, 6, 3]
+    texts = set()
+    for count_dtype in (np.uint16, np.int32, np.int64):
+        for dtype in (np.uint8, np.int64):
+            ensemble = hand_built(
+                counts.astype(count_dtype), np.array(detection_counts, dtype=dtype),
+                np.array(level, dtype=dtype),
+            )
+            texts.add(written(tmp_path, ensemble))
+    assert texts == {json_dumps_events(ensemble)}
 
 
 @pytest.mark.parametrize("points", [1, 21, 1001])
@@ -181,11 +196,17 @@ times = st.one_of(
 @PROPERTY
 @given(rows=st.lists(st.tuples(times, cells.map(abs)), max_size=8, unique_by=lambda row: row[0]))
 @example(rows=[(-0.0, 0.0), (5e-324, 5e-324), (2.0**-20, 1e308), (2.0**-1021, 1.0)])
+@example(rows=[(0.0, 1.0), (1e300, 0.5)])
 def test_trace_csv_is_what_csv_writer_writes(rows):
     times, intensities = np.array(sorted(rows), dtype=float).reshape(-1, 2).T
     trace = RingdownTrace(times, intensities)
-    assert trace_to_csv(trace) == csv_writer_reference(
-        TRACE_HEADER, trace.times, NS, [trace.intensities]
-    )
+    if not all(math.isfinite(float_unit_exact_value(time, NS)) for time in times.tolist()):
+        # a time past about 1.8e299 s overflows in ns
+        with pytest.raises(DataFormatError, match="column t_ns$"):
+            trace_to_csv(trace)
+    else:
+        assert trace_to_csv(trace) == csv_writer_reference(
+            TRACE_HEADER, trace.times, NS, [trace.intensities]
+        )
     for time in times.tolist():
         assert repr(unit_exact_value(time, NS)) == repr(float_unit_exact_value(time, NS))
