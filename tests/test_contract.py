@@ -5,10 +5,11 @@ value, the rest left at its default (``tools/contract.py`` builds and runs
 all 235 such documents and its fixed multi-field DOCUMENTS; its CI step runs
 them all). These 42 used to end in a traceback, exit 0 with numpy warnings,
 or print warnings before their one error line; the fixed documents used to
-end in a traceback, or exit 2 on a config whose dump exits 0. Each is run in
-a fresh interpreter that shows every warning, and must exit 0, 2 or 3
-without a traceback, print nothing on exit 0 and one line otherwise, write no
-file unless it exits 0, and exit 2 only if its ``--dump-config`` does.
+end in a traceback, exit 0 with a numpy warning, or exit 2 on a config whose
+dump exits 0. Each is run in a fresh interpreter that shows every warning,
+and must exit 0, 2 or 3 without a traceback, print nothing on exit 0 and one
+line otherwise, write no file unless it exits 0, and exit 2 only if its
+``--dump-config`` does.
 """
 
 import importlib.util

@@ -19,6 +19,8 @@ from fibercavity import (
     transmission_peak_detunings,
     two_pi_mhz,
 )
+from fibercavity import cli
+from fibercavity.experiment import ProbeConfig
 from conftest import grid_peak_detunings
 
 
@@ -194,3 +196,84 @@ def test_cooperativity(measured_params):
     assert value == pytest.approx(7.8**2 / (2.0 * 6.4 * 2.6), rel=1e-12)
     doubled = cooperativity(measured_params.with_g(2.0 * measured_params.g))
     assert doubled == pytest.approx(4.0 * value, rel=1e-12)
+
+
+def jaynes_cummings_transmission(params, delta, g, photon_flux, photons=6):
+    """T = 2 kappa2 <a^dag a> / flux in the Lindblad steady state of the driven
+    Jaynes-Cummings model, truncated at ``photons`` Fock states (test oracle).
+
+    In the frame of the probe, H = -(Delta - Delta_C) a^dag a - Delta s+ s-
+    + g (a^dag s- + a s+) + eps (a + a^dag) with eps = sqrt(2 kappa1 flux), and
+    the collapse operators are sqrt(2 kappa) a and sqrt(2 gamma) s-. Rates go
+    in 2pi x MHz, so the Liouvillian and the trace row are of one scale.
+    """
+    unit = from_two_pi_mhz(1.0)
+    kappa, kappa1, kappa2, gamma, delta_c, delta, g, flux = (
+        x / unit for x in (params.kappa, params.kappa1, params.kappa2, params.gamma,
+                           params.cavity_detuning, delta, g, photon_flux)
+    )
+    a = np.kron(np.diag(np.sqrt(np.arange(1.0, photons)), 1), np.eye(2))
+    lower = np.kron(np.eye(photons), np.array([[0.0, 1.0], [0.0, 0.0]]))  # atom (g, e)
+    hamiltonian = (
+        -(delta - delta_c) * a.T @ a - delta * lower.T @ lower
+        + g * (a.T @ lower + lower.T @ a) + math.sqrt(2.0 * kappa1 * flux) * (a + a.T)
+    )
+    one = np.eye(2 * photons)
+    # column-stacked vec(A rho B) = (B^T kron A) vec(rho)
+    liouvillian = -1j * (np.kron(one, hamiltonian) - np.kron(hamiltonian.T, one))
+    for jump in (math.sqrt(2.0 * kappa) * a, math.sqrt(2.0 * gamma) * lower):
+        number = jump.T @ jump
+        liouvillian += (
+            np.kron(jump.conj(), jump) - 0.5 * np.kron(one, number) - 0.5 * np.kron(number.T, one)
+        )
+    system = np.vstack([liouvillian, one.reshape(1, -1)])  # last row: trace rho = 1
+    rhs = np.zeros(system.shape[0])
+    rhs[-1] = 1.0
+    rho = np.linalg.lstsq(system, rhs, rcond=None)[0].reshape(one.shape, order="F")
+    photons_inside = np.trace(a.T @ a @ rho).real
+    return 2.0 * kappa2 * photons_inside / flux
+
+
+def closed_form_deviation(params, power_w, deltas, couplings):
+    """Largest |T_oracle / T - 1| over the detunings and couplings."""
+    flux = ProbeConfig(power=power_w, duration=1.0).photon_flux
+    return max(
+        abs(jaynes_cummings_transmission(params, delta, g, flux)
+            / transmission(params, delta, g) - 1.0)
+        for g in couplings
+        for delta in deltas
+    )
+
+
+def test_transmission_is_the_weak_drive_limit_of_the_master_equation(measured_params):
+    # 4e-15 W puts 1.6e-5 photons in the empty cavity, against n0 = 0.056 at g_max
+    deltas = np.linspace(-25.0, 25.0, 21) * from_two_pi_mhz(1.0)
+    couplings = np.linspace(0.0, measured_params.g, 5)
+    assert closed_form_deviation(measured_params, 4e-15, deltas, couplings) < 1e-3
+
+
+def test_the_closed_form_deviates_from_the_master_equation_linearly_in_power(measured_params):
+    # at the dip on resonance with g = g_max, where the probe saturates the atom most
+    weak, strong = (
+        closed_form_deviation(measured_params, power, [0.0], [measured_params.g])
+        for power in (4e-15, 4e-14)
+    )
+    assert strong / weak == pytest.approx(10.0, rel=0.05)
+
+
+def test_the_default_probes_are_weak_enough_for_the_closed_form(measured_params):
+    sequence, grid = cli.EXPERIMENT["sequence"], cli.EXPERIMENT["detunings"]
+    unit = from_two_pi_mhz(1.0)
+    couplings = np.linspace(0.0, sequence["g_max"].default["value"], 5) * unit
+    deltas = np.linspace(
+        grid["min"].default["value"], grid["max"].default["value"], grid["points"].default
+    ) * unit
+    # the detection probe is resonant; the spectroscopy probe scans the grid
+    detection = closed_form_deviation(
+        measured_params, sequence["detection"]["power_w"].default, [0.0], couplings
+    )
+    spectroscopy = closed_form_deviation(
+        measured_params, sequence["spectroscopy"]["power_w"].default, deltas, couplings
+    )
+    assert detection < 0.03
+    assert spectroscopy < 0.015

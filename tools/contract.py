@@ -52,6 +52,9 @@ DOCUMENTS = (
     ("mode-solve", {"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}}),
     # g overflows only at the solved mode volume, which the dump cannot see
     ("mode-solve", {"atom": {"dipole_moment_cm": 1e154}}),
+    # a 1e300 rad/s switch-off on a grid that ends at a subnormal 1e-309 s
+    ("ringdown", {"seed": 0, "ringdown": {"kappa_s": {"value": 1e300, "unit": "rad_per_s"}},
+                  "grid": {"t_max_ns": 1e-300}}),
 )
 # the other value of a document that sets one of the two fiber indices
 PARTNER = {"/fiber/n_core": ("n_clad", 1.45), "/fiber/n_clad": ("n_core", 1.46)}
