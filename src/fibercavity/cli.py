@@ -350,7 +350,7 @@ def _load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
             raise ConfigError(f"/: invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("/: config document must be a JSON object")

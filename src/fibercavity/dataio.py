@@ -5,8 +5,9 @@ Floats are written with ``repr``, which round-trips bit-exactly through
 in its file unit, naming its header cell; the events writer refuses NaN/Inf
 floats and negative ints. Readers raise DataFormatError, naming the line, on
 a cell that is not a finite number, on a header cell past the declared and
-optional columns and on a row whose cells do not match the header. All files
-are written atomically (temp file in the target directory, then rename).
+optional columns and on a row whose cells do not match the header, and, naming
+the file, on a file that is not UTF-8. All files are written atomically
+(temp file in the target directory, then rename).
 
 The CSV writers convert a whole column to its file unit with numpy and join
 the ``repr`` of each cell. ``events.jsonl`` is built a block of sequences at
@@ -123,10 +124,14 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     return _rows_to_csv(header, spectrum.deltas, TWO_PI_MHZ, columns)
 
 
-def _csv_columns(text: str, header: tuple, what: str, optional: str | None = None):
-    """Numeric columns of a CSV document that starts with ``header``, plus the
-    ``optional`` column when the header names it; errors name the line."""
-    reader = csv.reader(io.StringIO(text))
+def _csv_columns(path, header: tuple, what: str, optional: str | None = None):
+    """Numeric columns of the UTF-8 CSV file ``path`` that starts with ``header``,
+    plus the ``optional`` column when the header names it; errors name the line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            reader = csv.reader(io.StringIO(handle.read()))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{what} CSV {path} is not UTF-8: {exc}") from exc
     first = next((row for row in reader if row), None)
     if first is None or tuple(first[: len(header)]) != header:
         raise DataFormatError(f"{what} CSV must start with header {','.join(header)}")
@@ -155,8 +160,7 @@ def _csv_columns(text: str, header: tuple, what: str, optional: str | None = Non
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    with open(path, "r", encoding="utf-8") as handle:
-        columns = _csv_columns(handle.read(), SPECTRUM_HEADER, "spectrum", optional="sigma")
+    columns = _csv_columns(path, SPECTRUM_HEADER, "spectrum", optional="sigma")
     return Spectrum(
         deltas=columns[0] * TWO_PI_MHZ,
         values=columns[1],
@@ -170,8 +174,7 @@ def trace_to_csv(trace: RingdownTrace) -> str:
 
 
 def read_trace_csv(path) -> RingdownTrace:
-    with open(path, "r", encoding="utf-8") as handle:
-        times, intensities = _csv_columns(handle.read(), TRACE_HEADER, "trace")
+    times, intensities = _csv_columns(path, TRACE_HEADER, "trace")
     return RingdownTrace(times=times * NS, intensities=intensities)
 
 

@@ -206,18 +206,11 @@ def _intensity_profile(fiber: FiberSpec, n_eff: float, u: float, w: float, s: fl
     return profile
 
 
-# _brentq and _simpson port scipy 1.17's optimize/Zeros/brentq.c (Brent 1973)
-# and the odd-N, x-given branch of integrate.simpson (BSD-3-Clause, Copyright
-# (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers) and return
-# their bits.
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """Root of f in [xa, xb] by Brent's method, as ``scipy.optimize``'s.
-
-    Raises NoGuidedModeError (scipy raises ValueError or RuntimeError) where
-    f is NaN, f(xa) and f(xb) have the same sign, or ``maxiter`` iterations
-    do not converge.
+def _bisect(f, lo, hi):
+    """Root of f in [lo, hi] by bisection until no double lies strictly inside
+    the bracket: an exact zero of f if one is met, else the end with the
+    smaller |f|. Raises NoGuidedModeError where f is NaN or f(lo) and f(hi)
+    have the same sign.
     """
 
     def value(x):
@@ -226,70 +219,42 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
             raise NoGuidedModeError(f"dispersion residual is NaN at u = {x}")
         return fx
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NoGuidedModeError(f"no sign change of the dispersion residual in [{xa}, {xb}]")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise NoGuidedModeError(f"Brent's method did not converge in {maxiter} iterations")
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = value(lo), value(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise NoGuidedModeError(f"no sign change of the dispersion residual in [{lo}, {hi}]")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = value(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 def _simpson(y, x):
-    """Composite Simpson integral of samples y at increasing x, an odd number of them."""
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
-    tmp = hsum / 6.0 * (
-        y[:-2:2] * (2.0 - 1.0 / h0divh1)
-        + y[1:-1:2] * (hsum * (hsum / hprod))
-        + y[2::2] * (2.0 - h0divh1)
-    )
-    return np.sum(tmp)
+    """Composite Simpson integral of samples y on the uniform grid x, an odd number of them."""
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    return h / 3.0 * (y[0] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]) + y[-1])
 
 
 def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> ModeSolution:
     """Solve the HE11 dispersion equation by bracketed root finding.
 
     Scans n_eff over (n_clad, n_core) at 2000 points for a sign change,
-    refines it with Brent's method (``_brentq``), then integrates the
+    bisects it down to adjacent doubles (``_bisect``), then integrates the
     azimuth-averaged intensity out to 15 core radii (composite Simpson rule,
     ``_simpson``, with ``samples_per_region`` samples, an odd number, in each
     of the core and the cladding, which are integrated separately to respect
-    the index step). Both are ports of scipy's that return its bits, so only
-    ``scipy.special`` is loaded, for the Bessel functions. Warns if V >= 2.405,
-    where the fiber also guides the second mode group; the HE11 root itself
-    stays unique up to V = 3.832.
+    the index step). Only ``scipy.special`` is loaded, for the Bessel
+    functions. Warns if V >= 2.405, where the fiber also guides the second
+    mode group; the HE11 root itself stays unique up to V = 3.832.
     """
     from scipy.special import jv, jvp, kv, kvp
 
@@ -318,7 +283,7 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
             f"V = {v:.4f}"
         )
     i = crossings[0]
-    u = _brentq(lambda x: _he11_residual_u(x, fiber), grid[i], grid[i + 1], 1e-15, 8.9e-16)
+    u = _bisect(lambda x: _he11_residual_u(x, fiber), grid[i], grid[i + 1])
 
     k0a = fiber.k0 * fiber.core_radius
     n_eff = math.sqrt(fiber.n_core**2 - (u / k0a) ** 2)
@@ -372,10 +337,10 @@ def solve_lp01(fiber: FiberSpec) -> float:
 
     v = fiber.v_number
     # The LP01 root lies below the first zero of J0 (where J0 changes sign);
-    # _brentq refuses a bracket with no sign change or a NaN end (Bessel underflow).
+    # _bisect refuses a bracket with no sign change or a NaN end (Bessel underflow).
     upper = min(v, float(jn_zeros(0, 1)[0]))
     lo, hi = 1e-9 * upper, upper * (1.0 - 1e-12)
-    u = _brentq(lambda x: _dispersion_lp01(x, fiber), lo, hi, 1e-16, 8.9e-16)
+    u = _bisect(lambda x: _dispersion_lp01(x, fiber), lo, hi)
     return math.sqrt(fiber.n_core**2 - (u / (fiber.k0 * fiber.core_radius)) ** 2)
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import importlib.util
 import json
 import math
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from fibercavity import (
-    SystemParams, estimation, experiment, fibermode, from_two_pi_mhz, normalized_transmission,
+    SystemParams, estimation, experiment, from_two_pi_mhz, normalized_transmission,
 )
 from fibercavity.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fibercavity.dataio import (
@@ -883,18 +882,6 @@ def test_exact_fit_writes_unbounded_uncertainties_as_null(tmp_path, capsys):
     assert written == json.loads(capsys.readouterr().out, parse_constant=_strict)
     assert written["uncertainties"] == [None, None, None]
     assert written["estimates"][1] == pytest.approx(1.0 * TW)
-
-
-def test_mode_solve_whose_root_finder_does_not_converge_is_numeric_failure(
-    tmp_path, capsys, monkeypatch
-):
-    monkeypatch.setattr(fibermode, "_brentq", functools.partial(fibermode._brentq, maxiter=1))
-    out = tmp_path / "mode"
-    assert run_cli("mode-solve", "--out", str(out)) == EXIT_NUMERIC
-    assert capsys.readouterr().err == (
-        "numerical failure: Brent's method did not converge in 1 iterations\n"
-    )
-    assert not out.exists()
 
 
 # The library constructors own these bounds: each refusal is one check, named at its field.

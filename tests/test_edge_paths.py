@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from fibercavity import (
     CavityGeometry,
@@ -119,6 +118,58 @@ def test_blank_lines_in_a_data_csv_are_skipped(tmp_path, capsys):
 def test_a_data_csv_cell_beyond_its_columns_is_refused(tmp_path, capsys, csv_text, message):
     assert fit(tmp_path, "lorentzian", csv_text) == EXIT_CONFIG
     assert capsys.readouterr().err == f"data format error: spectrum CSV {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "recipe, what, header",
+    [
+        ("lorentzian", "spectrum", SPECTRUM_HEADER),
+        ("ringdown-tail", "trace", "t_ns,intensity_normalized"),
+    ],
+    ids=["spectrum", "trace"],
+)
+def test_a_data_csv_that_is_not_utf8_is_refused(tmp_path, capsys, recipe, what, header):
+    data = tmp_path / "data.csv"
+    data.write_bytes(f"{header}\n0,1.0\n".encode() + b"\xff,0.5\n")
+    assert run(tmp_path, "fit", "--recipe", recipe, "--data", str(data)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"data format error: {what} CSV {data} is not UTF-8: 'utf-8' codec can't decode "
+        f"byte 0xff in position {len(header) + 7}: invalid start byte\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+UNREADABLE_JSON = {
+    "not-utf8": (
+        b'{"seed": 1}\xff',
+        "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+    ),
+    "long-integer": (
+        b'{"seed": ' + b"1" * 4301 + b"}",
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 4301 "
+        "digits; use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    "deep-array": (
+        b"[" * 100000 + b"]" * 100000,
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", ["--config", "--fixed"])
+@pytest.mark.parametrize("kind", UNREADABLE_JSON)
+def test_a_config_file_that_json_cannot_read_is_refused(tmp_path, capsys, flag, kind):
+    content, reason = UNREADABLE_JSON[kind]
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    if flag == "--config":
+        argv = ("spectrum", "--config", str(path))
+    else:  # the data file is read only after the config
+        absent = tmp_path / "absent.csv"
+        argv = ("fit", "--recipe", "rabi-g", "--data", str(absent), "--fixed", str(path))
+    assert run(tmp_path, *argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: /: invalid JSON in {path}: {reason}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -231,12 +282,20 @@ def test_solve_fundamental_mode_refuses_an_even_sample_count():
         solve_fundamental_mode(FiberSpec(2.0e-6, 1.455, 1.45, 852e-9), samples_per_region=4096)
 
 
-@pytest.mark.parametrize("bracket", [(1.0, 2.0), (0.0, 1.0)], ids=["root-at-a", "root-at-b"])
-def test_brentq_returns_an_end_point_that_is_a_root_as_scipy_does(bracket):
+@pytest.mark.parametrize(
+    "bracket, evaluations",
+    [((1.0, 2.0), 2), ((0.0, 1.0), 2), ((0.0, 2.0), 3)],
+    ids=["root-at-a", "root-at-b", "root-at-midpoint"],
+)
+def test_bisect_stops_at_the_exact_zero_it_meets(bracket, evaluations):
+    points = []
+
     def f(x):
+        points.append(x)
         return x - 1.0
 
-    assert fibermode._brentq(f, *bracket, 1e-15, 8.9e-16) == brentq(f, *bracket) == 1.0
+    assert fibermode._bisect(f, *bracket) == 1.0
+    assert len(points) == evaluations
 
 
 def test_a_plot_series_with_nan_is_refused():
