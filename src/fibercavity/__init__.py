@@ -10,7 +10,6 @@ pipeline.
 __version__ = "0.1.0"
 
 from .units import (
-    AngularRate,
     CavityGeometry,
     ParameterError,
     SystemParams,

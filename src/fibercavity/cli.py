@@ -344,12 +344,22 @@ def _build(cls, schema: dict, block: dict, pointer: str, **sub_objects):
         return cls(**kwargs, **sub_objects)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key that it names twice is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
             raise ConfigError(f"/: invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -683,13 +693,13 @@ def _run(args) -> int:
         return EXIT_OK
     out = Outputs(args.out)
     code, inputs = job(out)
-    manifest = dataio.RunManifest(
-        subcommand=args.subcommand, config=config, seed=config["seed"],
-        inputs=[str(p) for p in inputs], outputs=out.paths,
-        tool_version=__version__, numpy_version=np.__version__,
-        python_version="%d.%d.%d" % sys.version_info[:3], duration_s=time.monotonic() - started,
-    )
-    dataio.atomic_write_text(out.paths[0] + ".manifest.json", manifest.to_json())
+    manifest = {
+        "subcommand": args.subcommand, "config": config, "seed": config["seed"],
+        "inputs": [str(p) for p in inputs], "outputs": out.paths, "tool_version": __version__,
+        "numpy_version": np.__version__, "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "duration_s": time.monotonic() - started,
+    }
+    dataio.atomic_write_text(out.paths[0] + ".manifest.json", dataio.json_text(manifest))
     return code
 
 

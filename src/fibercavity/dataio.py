@@ -1,4 +1,4 @@
-"""File formats: spectrum/trace CSV, event JSON-lines, run manifests.
+"""File formats: spectrum/trace CSV, event JSON-lines, the JSON text of every document.
 
 Floats are written with ``repr``, which round-trips bit-exactly through
 ``float()`` in Python 3. The CSV writers refuse a column that holds NaN/Inf
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -304,21 +303,3 @@ def write_events_jsonl(path, ensemble):
     blocks = _event_blocks(ensemble)
     with _atomic_open(path) as handle:
         handle.writelines(blocks)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one CLI run bit-identically."""
-
-    subcommand: str
-    config: dict
-    inputs: list
-    outputs: list
-    seed: int
-    tool_version: str
-    numpy_version: str
-    python_version: str
-    duration_s: float
-
-    def to_json(self) -> str:
-        return json_text(dataclasses.asdict(self))

@@ -2,13 +2,16 @@
 
 The minimizer is damped Gauss-Newton with a Levenberg-Marquardt damping
 schedule: the damping multiplies the diagonal of J^T J, grows x10 when a step
-fails and shrinks /10 when it succeeds, starting from 1e-3. Convergence is
-declared when the relative change of the weighted squared-residual sum drops
-below 1e-10 or the gradient max-norm drops below 1e-10; the iteration cap is
-200, after which the best point is returned with ``converged=False``. When no
-damped step lowers the cost, the fit stops where it is and is converged if
-the undamped Gauss-Newton step predicts a relative cost reduction of at most
-1e-10 (MINPACK's ``ftol`` test, Moré 1978), else not.
+fails and shrinks /10 when it succeeds, starting from 1e-3. The cost is the
+weighted squared-residual sum. Convergence is declared when the cost is
+exactly 0, when its relative change drops below 1e-10, or when every
+gradient component divided by its weighted-Jacobian column norm drops below
+1e-10; the iteration cap is 200, after which the best point is returned with
+``converged=False``. When no damped step lowers the cost, the fit stops where
+it is and is converged if the undamped Gauss-Newton step predicts a relative
+cost reduction of at most 1e-10 (MINPACK's ``ftol`` test, Moré 1978), else
+not. A residual or cost that is not finite is refused at the start point and
+fails as a trial step.
 
 Every model supplies its analytic Jacobian; the engine has no other source
 of derivatives. Weights are 1/sigma^2 when per-point uncertainties are given;
@@ -155,8 +158,8 @@ def fit_least_squares(
     else:
         sqrt_w = np.ones_like(y)
 
-    # A model or Jacobian that overflows is refused below (a trial step whose
-    # residual is not finite fails), so numpy need not warn about it as well.
+    # A model, Jacobian or cost that overflows is refused below (a trial step
+    # whose cost is not finite fails), so numpy need not warn about it as well.
     def jacobian(p):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             j = np.asarray(jac(x, p), dtype=float)
@@ -165,13 +168,16 @@ def fit_least_squares(
         return j
 
     def weighted_residual(p):
+        """The weighted residual at p and the cost, its squared sum."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
+            r = (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
+            return r, float(r @ r)
 
-    residual = weighted_residual(params)
+    residual, cost = weighted_residual(params)
     if not np.all(np.isfinite(residual)):
         raise FitError("model returned non-finite values at the initial point")
-    cost = float(residual @ residual)
+    if not math.isfinite(cost):
+        raise FitError("squared-residual sum overflows at the initial point")
 
     damping = 1e-3
     iterations = 0
@@ -202,15 +208,13 @@ def fit_least_squares(
                 damping *= 10.0
                 continue
             trial = np.clip(params - step, lo, hi)
-            trial_residual = weighted_residual(trial)
-            if np.all(np.isfinite(trial_residual)):
-                trial_cost = float(trial_residual @ trial_residual)
-                if trial_cost < cost:
-                    params, residual, jw = trial, trial_residual, None
-                    previous_cost, cost = cost, trial_cost
-                    damping = max(damping / 10.0, 1e-15)
-                    stepped = True
-                    break
+            trial_residual, trial_cost = weighted_residual(trial)
+            if trial_cost < cost:  # False for a cost that is not finite
+                params, residual, jw = trial, trial_residual, None
+                previous_cost, cost = cost, trial_cost
+                damping = max(damping / 10.0, 1e-15)
+                stepped = True
+                break
             damping *= 10.0
         iterations += 1
         if not stepped:
@@ -377,10 +381,11 @@ def fit_rabi_g(
         # landscape has plateaus at large g where a bad start would stall.
         candidates = np.linspace(0.0, RABI_G_UPPER_BOUND, 201)
         step = steady.rows_per_block(len(spectrum))
-        costs = np.concatenate([
-            np.sum((model(spectrum.deltas, [block[:, None]]) - spectrum.values) ** 2, axis=1)
-            for block in np.split(candidates, range(step, candidates.size, step))
-        ])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            costs = np.concatenate([
+                np.sum((model(spectrum.deltas, [block[:, None]]) - spectrum.values) ** 2, axis=1)
+                for block in np.split(candidates, range(step, candidates.size, step))
+            ])
         initial = float(candidates[int(np.argmin(costs))])
     return fit_least_squares(
         model,

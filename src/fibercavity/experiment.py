@@ -228,8 +228,7 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _hashmix(value, hash_const: int, mult: int):
-    """numpy's hashmix of uint32 words, a Python int or a uint32 array:
-    (mixed value, next hash constant)."""
+    """numpy's hashmix of a uint32 array: (mixed value, next hash constant)."""
     value = value ^ hash_const
     hash_const = hash_const * mult & _MASK32
     value = value * hash_const & _MASK32
@@ -237,13 +236,13 @@ def _hashmix(value, hash_const: int, mult: int):
 
 
 def _mix(x, y):
-    """numpy's mix of two uint32 words (Python ints or uint32 arrays)."""
+    """numpy's mix of two uint32 arrays."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> _XSHIFT
 
 
 def _mix_word(pool: list, word, hash_const: int) -> int:
-    """Mix one entropy word past the first four into every pool entry, in place;
+    """Mix one entropy word past the pool size into every pool entry, in place;
     return the next hash constant."""
     for dst in range(_POOL_SIZE):
         mixed, hash_const = _hashmix(word, hash_const, _MULT_A)
@@ -256,32 +255,19 @@ def _stream_words(base_seed: int, start: int, stop: int) -> np.ndarray:
 
     Row i - start of the (stop - start, 4) uint64 result equals
     ``SeedSequence(base_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
-    The seed's uint32 words, zero-padded to the pool size, fill the pool once
-    in Python ints; the one or two uint32 words of each index (two from 2**32
-    on) then mix in as uint32 arrays.
+    A spawn key appends its words after the seed's, zero-padded to the pool
+    size, so the pool starts as ``SeedSequence(base_seed).pool``, and mixing
+    in a seed of n uint32 words has advanced the hash constant 4 max(4, n)
+    times. The one or two uint32 words of each index (two from 2**32 on) then
+    mix in as uint32 arrays.
     """
     seed = int(base_seed)
     if seed < 0:
         raise ValueError("base_seed must be non-negative")
-    entropy = [seed & _MASK32]  # least significant word first; seed 0 has one word
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK32)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-
-    pool, hash_const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        mixed, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[_POOL_SIZE:]:
-        hash_const = _mix_word(pool, word, hash_const)
-
+    n_seed_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * n_seed_words, 2**32) & _MASK32
     index = np.arange(start, stop, dtype=np.uint64)
-    pool = [np.full(index.size, word, dtype=np.uint32) for word in pool]
+    pool = [np.full(index.size, w, dtype=np.uint32) for w in np.random.SeedSequence(seed).pool]
     hash_const = _mix_word(pool, (index & _MASK32).astype(np.uint32), hash_const)
     high = (index >> 32).astype(np.uint32)
     if high.any():

@@ -38,7 +38,7 @@ import numpy as np
 
 from .constants import C, CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH, EPSILON_0, HBAR
 from .units import (
-    POSITIVE, WAVELENGTH, AngularRate, Bound, Bounded, CavityGeometry, ParameterError,
+    POSITIVE, WAVELENGTH, Bound, Bounded, CavityGeometry, ParameterError,
 )
 
 SINGLE_MODE_V_LIMIT = 2.405  # first zero of J0: cutoff of the second mode group
@@ -376,7 +376,7 @@ def cs_d2_atom() -> AtomSpec:
     return AtomSpec.from_wavelength(CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH)
 
 
-def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> AngularRate:
+def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> float:
     """Atom-cavity coupling g = sqrt(mu^2 w / (2 hbar eps0 V)) * phi.
 
     phi is the local mode amplitude in the max = 1 normalization; phi = 1
@@ -396,4 +396,4 @@ def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> An
         g_max = math.inf
     if not math.isfinite(g_max):
         raise ParameterError("coupling rate overflows")
-    return AngularRate(g_max * phi)
+    return float(g_max * phi)

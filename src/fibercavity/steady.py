@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C
-from .units import AngularRate, CavityGeometry, ParameterError, SystemParams
+from .units import CavityGeometry, ParameterError, SystemParams
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def transmission_peak_detunings(params: SystemParams) -> tuple[float, ...]:
     return (-peak, peak)
 
 
-def mirror_to_rate(fraction: float, geom: CavityGeometry) -> AngularRate:
+def mirror_to_rate(fraction: float, geom: CavityGeometry) -> float:
     """Field decay rate from a per-pass power transmission/loss fraction.
 
     Low-loss approximation kappa_i = c * fraction / (4 n_eff L): the power
@@ -179,9 +179,7 @@ def mirror_to_rate(fraction: float, geom: CavityGeometry) -> AngularRate:
     """
     if not 0.0 <= fraction < 1.0:
         raise ParameterError("transmission/loss fraction must lie in [0, 1)")
-    return AngularRate(
-        C * fraction / (4.0 * geom.effective_index * geom.length)
-    )
+    return float(C * fraction / (4.0 * geom.effective_index * geom.length))
 
 
 def rate_to_mirror(rate: float, geom: CavityGeometry) -> float:

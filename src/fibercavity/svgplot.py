@@ -56,6 +56,22 @@ def _limits(values):
     return lo - pad, hi + pad
 
 
+def _text(x, y, text, anchor, size, rotate=False) -> str:
+    """Sans-serif text at (x, y); ``rotate`` turns it by -90 degrees about that point."""
+    turn = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" font-size="{size}" '
+        f'font-family="sans-serif"{turn}>{text}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke="#444", width=1) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
 def _panel(series, x0, y0, panel_w, panel_h, title, x_label, y_label):
     series = _check_series(series)
     x_lo, x_hi = _limits([x for _, x, _ in series])
@@ -76,47 +92,20 @@ def _panel(series, x0, y0, panel_w, panel_h, title, x_label, y_label):
         f'height="{_fmt(plot_h)}" fill="none" stroke="#444" stroke-width="1"/>'
     ]
     if title:
-        parts.append(
-            f'<text x="{_fmt(x0 + panel_w / 2)}" y="{_fmt(y0 + 20)}" '
-            f'text-anchor="middle" font-size="13" font-family="sans-serif">'
-            f"{title}</text>"
-        )
+        parts.append(_text(x0 + panel_w / 2, y0 + 20, title, "middle", 13))
     for i in range(5):
         frac = i / 4
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
-        xt = sx(xv)
-        yt = sy(yv)
-        parts.append(
-            f'<line x1="{_fmt(xt)}" y1="{_fmt(ay + plot_h)}" x2="{_fmt(xt)}" '
-            f'y2="{_fmt(ay + plot_h + 4)}" stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(xt)}" y="{_fmt(ay + plot_h + 17)}" '
-            f'text-anchor="middle" font-size="10" font-family="sans-serif">'
-            f"{_tick_label(xv)}</text>"
-        )
-        parts.append(
-            f'<line x1="{_fmt(ax - 4)}" y1="{_fmt(yt)}" x2="{_fmt(ax)}" '
-            f'y2="{_fmt(yt)}" stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(ax - 7)}" y="{_fmt(yt + 3)}" text-anchor="end" '
-            f'font-size="10" font-family="sans-serif">{_tick_label(yv)}</text>'
-        )
+        xt, yt = sx(xv), sy(yv)
+        parts.append(_line(xt, ay + plot_h, xt, ay + plot_h + 4))
+        parts.append(_text(xt, ay + plot_h + 17, _tick_label(xv), "middle", 10))
+        parts.append(_line(ax - 4, yt, ax, yt))
+        parts.append(_text(ax - 7, yt + 3, _tick_label(yv), "end", 10))
     if x_label:
-        parts.append(
-            f'<text x="{_fmt(ax + plot_w / 2)}" y="{_fmt(ay + plot_h + 36)}" '
-            f'text-anchor="middle" font-size="11" font-family="sans-serif">'
-            f"{x_label}</text>"
-        )
+        parts.append(_text(ax + plot_w / 2, ay + plot_h + 36, x_label, "middle", 11))
     if y_label:
-        cx, cy = x0 + 14, ay + plot_h / 2
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{y_label}</text>'
-        )
+        parts.append(_text(x0 + 14, ay + plot_h / 2, y_label, "middle", 11, rotate=True))
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         points = " ".join(f"{_fmt(sx(u))},{_fmt(sy(v))}" for u, v in zip(x, y))
@@ -127,14 +116,8 @@ def _panel(series, x0, y0, panel_w, panel_h, title, x_label, y_label):
         if len(series) > 1:
             ly = ay + 14 + 14 * k
             lx = ax + plot_w - 8
-            parts.append(
-                f'<line x1="{_fmt(lx - 26)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx - 8)}" '
-                f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(lx - 30)}" y="{_fmt(ly)}" text-anchor="end" '
-                f'font-size="10" font-family="sans-serif">{label}</text>'
-            )
+            parts.append(_line(lx - 26, ly - 4, lx - 8, ly - 4, color, 2))
+            parts.append(_text(lx - 30, ly, label, "end", 10))
     return "".join(parts)
 
 

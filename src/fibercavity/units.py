@@ -80,21 +80,6 @@ class Bounded:
                 self.BOUNDS[f.name].check(f.name, getattr(self, f.name))
 
 
-class AngularRate(float):
-    """An angular frequency in rad/s.
-
-    Behaves as a plain float in arithmetic; the class only adds the
-    finiteness check. Decay rates must be non-negative; detunings may be
-    negative.
-    """
-
-    def __new__(cls, value):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ParameterError(f"angular rate must be finite, got {value!r}")
-        return super().__new__(cls, value)
-
-
 def two_pi_mhz(rate_rad_s: float) -> float:
     """Convert rad/s to the 2pi x MHz convention."""
     return float(rate_rad_s) / TWO_PI_MHZ
@@ -112,7 +97,8 @@ def rate_to_json(rate_rad_s: float, unit: str = "two_pi_mhz") -> dict:
     return {"value": value, "unit": unit}
 
 
-def rate_from_json(doc: dict) -> AngularRate:
+def rate_from_json(doc: dict) -> float:
+    """The rate in rad/s of a ``{value, unit}`` document; it must be finite in rad/s."""
     if not isinstance(doc, dict) or "value" not in doc or "unit" not in doc:
         raise ParameterError(f"rate must be {{value, unit}}, got {doc!r}")
     unit = doc["unit"]
@@ -120,8 +106,10 @@ def rate_from_json(doc: dict) -> AngularRate:
         raise ParameterError(f"unknown rate unit {unit!r}")
     value = float(doc["value"])
     if unit == "two_pi_mhz":
-        return AngularRate(from_two_pi_mhz(value))
-    return AngularRate(value)
+        value = from_two_pi_mhz(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"angular rate must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 Each of CASES sets one NUMBER or RATE field of a subcommand to an extreme
 value, the rest left at its default (``tools/contract.py`` builds and runs
-all 235 such documents and its fixed multi-field DOCUMENTS; its CI step runs
-them all). These 42 used to end in a traceback, exit 0 with numpy warnings,
-or print warnings before their one error line; the fixed documents used to
-end in a traceback, exit 0 with a numpy warning, or exit 2 on a config whose
-dump exits 0. Each is run in a fresh interpreter that shows every warning,
+all 235 such documents and its fixed DOCUMENTS, multi-field ones and fit runs
+on a data CSV; its CI step runs them all). These 42 used to end in a
+traceback, exit 0 with numpy warnings, or print warnings before their one
+error line; the fixed documents used to end in a traceback, exit 0 with a
+numpy warning, print warnings before their one error line, or exit 2 on a
+config whose dump exits 0. Each is run in a fresh interpreter that shows every warning,
 and must exit 0, 2 or 3 without a traceback, print nothing on exit 0 and one
 line otherwise, write no file unless it exits 0, and exit 2 only if its
 ``--dump-config`` does.
@@ -79,8 +80,9 @@ def test_an_extreme_value_keeps_the_exit_code_contract(tmp_path, subcommand, poi
 
 
 @pytest.mark.parametrize(
-    "subcommand, doc", contract.DOCUMENTS, ids=[json.dumps(d) for _, d in contract.DOCUMENTS]
+    "subcommand, doc, data", contract.DOCUMENTS,
+    ids=[json.dumps(d) for _, d, _ in contract.DOCUMENTS],
 )
-def test_a_fixed_document_keeps_the_exit_code_contract(tmp_path, subcommand, doc):
-    code, err, broken = contract.check(subcommand, doc, str(tmp_path))
+def test_a_fixed_document_keeps_the_exit_code_contract(tmp_path, subcommand, doc, data):
+    code, err, broken = contract.check(subcommand, doc, str(tmp_path), data)
     assert broken is None, f"exit {code}: {err}"

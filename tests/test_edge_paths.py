@@ -154,6 +154,10 @@ UNREADABLE_JSON = {
         b"[" * 100000 + b"]" * 100000,
         "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
     ),
+    "repeated-key": (b'{"seed": 1, "seed": 2}', "duplicate key 'seed'"),
+    "repeated-nested-key": (
+        b'{"g": {"value": 7.8, "unit": "two_pi_mhz", "value": 3.9}}', "duplicate key 'value'"
+    ),
 }
 
 
@@ -180,6 +184,37 @@ def test_a_model_that_is_not_finite_at_the_start_is_a_numerical_failure(tmp_path
     assert capsys.readouterr().err == (
         "numerical failure: model returned non-finite values at the initial point\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+def lorentzian_csv(column, cell) -> str:
+    """An 11-point Lorentzian of half width 3.2 at Delta = -25..25 in steps of 5 (2pi x MHz)
+    whose fourth row has ``cell`` in ``column``: 0 the detuning, 1 the value."""
+    rows = [[float(delta), 1.0 / (1.0 + (delta / 3.2) ** 2)] for delta in range(-25, 30, 5)]
+    rows[3][column] = cell
+    return SPECTRUM_HEADER + "\n" + "".join(f"{delta!r},{value!r}\n" for delta, value in rows)
+
+
+@pytest.mark.parametrize(
+    ("recipe", "column", "cell"),
+    [
+        ("lorentzian", 1, -1e300),
+        ("lorentzian", 1, 1e154),
+        ("rabi-g", 1, 1e300),
+        ("rabi-g", 1, -1e300),
+        ("exponential", 1, 1e300),
+        ("exponential", 1, -1e300),
+        # the model overflows in the rabi-g start scan first, which must not warn
+        ("rabi-g", 0, 1e300),
+    ],
+)
+def test_data_that_overflow_the_fit_at_its_start_are_a_numerical_failure(
+    tmp_path, capsys, recipe, column, cell
+):
+    # finite residuals whose squared sum overflows, or a model that overflows
+    reason = "squared-residual sum overflows" if column else "model returned non-finite values"
+    assert fit(tmp_path, recipe, lorentzian_csv(column, cell)) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical failure: {reason} at the initial point\n"
     assert not (tmp_path / "out").exists()
 
 

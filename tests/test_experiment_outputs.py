@@ -1,12 +1,13 @@
-"""Byte-level pins of the `experiment`, `spectrum` and `fit` outputs.
+"""Byte-level pins of the `experiment`, `spectrum`, `ringdown` and `fit` outputs.
 
 Each case runs ``main()`` and compares the sha256 of every non-manifest
 output (``events.jsonl``, ``summary.json``, each ``spectrum_level_*.csv``,
-the overlay spectra, ``fit_result.json``) with the digest recorded when the
-case was pinned. A refactor of the ensemble, its accumulation, the JSONL
-writer, the transmission kernel or the fit recipes must leave these
-unchanged. The fitted values depend on numpy's floating-point kernels; the
-digests were taken with numpy 2.4 on x86-64 with AVX-512.
+the overlay spectra, the ring-down traces, ``fit_result.json`` and the SVG
+plots) with the digest recorded when the case was pinned. A refactor of the
+ensemble, its accumulation, the JSONL writer, the transmission kernel, the
+ring-down, the fit recipes or the SVG markup must leave these unchanged.
+The fitted values depend on numpy's floating-point kernels; the digests were
+taken with numpy 2.4 on x86-64 with AVX-512.
 """
 
 import hashlib
@@ -19,9 +20,10 @@ from fibercavity.cli import EXIT_OK, main
 CASES = {
     "single-atom-hold": (
         {"sequence": {"hold_time_s": 0.005}},
-        ["--sequences", "300", "--seed", "5"],
+        ["--sequences", "300", "--seed", "5", "--plot"],
         {
             "events.jsonl": "3c8b30c4fdd67894cf6f4cb3087abe85341f9f3117bdca3e9d6cfebf50659b2a",
+            "spectra_by_level.svg": "4b1ece9c9dc5de89bc3c08d82074a78d9267deec17c7797922dd0dfb53c1a0ea",
             "spectrum_level_1.csv": "9d7123cec0c5cc0b2ba1d38ff504e9fc76c333d097596f8c9895e9e6bcdc55f6",
             "spectrum_level_2.csv": "e0728da2d5d452d841226b60e6531146b3a195d33a57f097c9df9d1f28ca9a7a",
             "spectrum_level_3.csv": "6203d14829a6f633d95514c63ef6ddfaaa4a3adb2264474792fd8f6e5d5e0f6d",
@@ -86,9 +88,18 @@ def output_digests(directory) -> dict:
 
 
 SPECTRUM_OVERLAY = {
+    "spectrum.svg": "65b6d08210f10ffff2792fe11aae702ef98cb23391b1d8b4f42c33cbb79a85bd",
     "spectrum_g0.000.csv": "002a81ce73344bc2a466cf5b41badd4270b74a4e5f959fa8f570c27e29da5628",
     "spectrum_g3.900.csv": "34e7e4ee6486defc7d1adc90e56acd13a80fd3b04b6baa79b5720db180cdd282",
     "spectrum_g7.800.csv": "f65719fbd5e8d17b3f733ec64b91c889521c9e8d8ff02bb0bf6d9735b14b3a50",
+}
+
+RINGDOWN_COMPARE = {
+    "ringdown.svg": "97d54e2f7c103e99e2d6fffc79407eb10d8987f7aa9eade79beed2795f8b01cf",
+    "ringdown_analytic.csv": "046a10dc940e1110299c16f8e75d0175ca301f8da28d980aed2b786b7b4047ea",
+    "ringdown_integrated.csv": "68a28c2a88f84defb355ca6e5307ec2aedb4207f3515439c69b8b37fd7c4afd6",
+    "ringdown_summary.json": "ff7efcd2a055feb6b858974d6224910e5f1ea248d5891b6707da8af22a1c9589",
+    "ringdown_triptych.svg": "1aa19e47e885f6b1db02c3633f6092a1536c9787afee3110483f559126351308",
 }
 
 # recipe -> (spectrum of the "single-atom-hold" case it fits, fit_result.json digest)
@@ -120,9 +131,16 @@ def test_experiment_outputs_are_pinned(case, tmp_path):
 
 
 def test_spectrum_overlay_is_pinned(tmp_path):
-    argv = ["spectrum", "--g-list-mhz", "0,3.9,7.8", "--seed", "1", "--out", str(tmp_path)]
+    argv = ["spectrum", "--g-list-mhz", "0,3.9,7.8", "--seed", "1", "--plot"]
+    argv += ["--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
     assert output_digests(tmp_path) == SPECTRUM_OVERLAY
+
+
+def test_ringdown_compare_is_pinned(tmp_path):
+    argv = ["ringdown", "--compare", "--triptych", "--plot", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert output_digests(tmp_path) == RINGDOWN_COMPARE
 
 
 @pytest.mark.parametrize("recipe", sorted(FITS))

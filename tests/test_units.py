@@ -4,7 +4,6 @@ import math
 import pytest
 
 from fibercavity import (
-    AngularRate,
     CavityGeometry,
     ParameterError,
     SystemParams,
@@ -62,17 +61,11 @@ def test_geometry_invariants():
         CavityGeometry(length=0.33, effective_index=2.5)
 
 
-def test_angular_rate_rejects_non_finite():
-    with pytest.raises(ParameterError):
-        AngularRate(float("nan"))
-    with pytest.raises(ParameterError):
-        AngularRate(float("inf"))
-
-
-def test_angular_rate_behaves_as_float():
-    rate = AngularRate(from_two_pi_mhz(6.4))
-    assert two_pi_mhz(rate) == pytest.approx(6.4)
-    assert rate + 1.0 == float(rate) + 1.0
+def test_rate_from_json_refuses_non_finite_rates():
+    with pytest.raises(ParameterError, match="^angular rate must be finite, got nan$"):
+        rate_from_json({"value": float("nan"), "unit": "rad_per_s"})
+    with pytest.raises(ParameterError, match="^angular rate must be finite, got inf$"):
+        rate_from_json({"value": 1e308, "unit": "two_pi_mhz"})
 
 
 def test_rate_json_round_trip():

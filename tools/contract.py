@@ -5,10 +5,12 @@ Usage: python tools/contract.py
 Every NUMBER or RATE field of ``spectrum``, ``ringdown``, ``mode-solve`` and
 ``experiment`` (40 sequences) is set alone to each of VALUES (a rate in
 rad/s), in a document that otherwise holds the defaults; each of the fixed
-DOCUMENTS, faults that no one-field document shows, runs as well. Each runs
-in its own interpreter: ``spectrum`` and ``experiment`` with ``--plot``,
-``ringdown`` with ``--plot --compare --triptych``. A run keeps the contract
-when
+DOCUMENTS, faults that no one-field document shows, runs as well. A DOCUMENTS
+entry may carry a data CSV, which is written next to ``config.json`` under
+the name its ``data`` field gives. Each runs in its own interpreter, with
+its work directory as the cwd: ``spectrum`` and ``experiment`` with
+``--plot``, ``ringdown`` with ``--plot --compare --triptych``. A run keeps
+the contract when
 
 - it exits 0, 2 or 3, and prints no traceback;
 - its stderr is empty on exit 0, and one line otherwise;
@@ -45,16 +47,36 @@ FLAGS = {
     "ringdown": ("--plot", "--compare", "--triptych"),
     "mode-solve": (),
     "experiment": ("--plot",),
+    "fit": (),
 }
-# fixed (subcommand, document) runs, for faults found outside the one-field runs
+
+
+def lorentzian_csv(column: int, cell: float) -> str:
+    """An 11-point Lorentzian of half width 3.2 at Delta = -25..25 in steps of 5 (2pi x MHz)
+    whose fourth row has ``cell`` in ``column``: 0 the detuning, 1 the value."""
+    rows = [[float(delta), 1.0 / (1.0 + (delta / 3.2) ** 2)] for delta in range(-25, 30, 5)]
+    rows[3][column] = cell
+    return "delta_two_pi_mhz,transmission_normalized\n" + "".join(
+        f"{delta!r},{value!r}\n" for delta, value in rows
+    )
+
+
+# fixed (subcommand, document, data CSV or None) runs, for faults found outside
+# the one-field runs
 DOCUMENTS = (
     # the solved mode volume is finite in m^3, but not in um^3
-    ("mode-solve", {"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}}),
+    ("mode-solve", {"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}}, None),
     # g overflows only at the solved mode volume, which the dump cannot see
-    ("mode-solve", {"atom": {"dipole_moment_cm": 1e154}}),
+    ("mode-solve", {"atom": {"dipole_moment_cm": 1e154}}, None),
     # a 1e300 rad/s switch-off on a grid that ends at a subnormal 1e-309 s
     ("ringdown", {"seed": 0, "ringdown": {"kappa_s": {"value": 1e300, "unit": "rad_per_s"}},
-                  "grid": {"t_max_ns": 1e-300}}),
+                  "grid": {"t_max_ns": 1e-300}}, None),
+    # finite residuals whose squared sum overflows at the start
+    ("fit", {"recipe": "lorentzian", "data": "value_-1e300.csv"}, lorentzian_csv(1, -1e300)),
+    ("fit", {"recipe": "lorentzian", "data": "value_1e154.csv"}, lorentzian_csv(1, 1e154)),
+    ("fit", {"recipe": "exponential", "data": "value_1e300.csv"}, lorentzian_csv(1, 1e300)),
+    # a detuning whose model overflows, in the rabi-g start scan first
+    ("fit", {"recipe": "rabi-g", "data": "detuning_1e300.csv"}, lorentzian_csv(0, 1e300)),
 )
 # the other value of a document that sets one of the two fiber indices
 PARTNER = {"/fiber/n_core": ("n_clad", 1.45), "/fiber/n_clad": ("n_core", 1.46)}
@@ -71,14 +93,15 @@ def fields(schema: dict, pointer: str = ""):
 
 
 def runs() -> list:
-    """(subcommand, label, document) of every single-fault run, then of DOCUMENTS."""
+    """(subcommand, label, document, data) of every single-fault run, then of DOCUMENTS."""
     single = [
-        (subcommand, f"{pointer} = {value!r}", document(subcommand, pointer, value))
+        (subcommand, f"{pointer} = {value!r}", document(subcommand, pointer, value), None)
         for subcommand, schema in SCHEMAS.items()
         for pointer, _ in fields(schema)
         for value in VALUES
     ]
-    return single + [(subcommand, json.dumps(doc), doc) for subcommand, doc in DOCUMENTS]
+    fixed = [(subcommand, json.dumps(doc), doc, data) for subcommand, doc, data in DOCUMENTS]
+    return single + fixed
 
 
 def document(subcommand: str, pointer: str, value: float) -> dict:
@@ -96,11 +119,15 @@ def document(subcommand: str, pointer: str, value: float) -> dict:
     return doc
 
 
-def check(subcommand: str, doc: dict, workdir: str) -> tuple:
-    """Run one document in ``workdir``: (exit code, stderr, what breaks the contract or None)."""
+def check(subcommand: str, doc: dict, workdir: str, data: str | None = None) -> tuple:
+    """Run one document in ``workdir``, with ``data`` as its data file if given:
+    (exit code, stderr, what breaks the contract or None)."""
     config, out = os.path.join(workdir, "config.json"), os.path.join(workdir, "out")
     with open(config, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
+    if data is not None:
+        with open(os.path.join(workdir, doc["data"]), "w", encoding="utf-8") as handle:
+            handle.write(data)
     env = dict(os.environ, PYTHONWARNINGS="default")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "fibercavity.cli", subcommand, "--config", config,
@@ -136,9 +163,9 @@ def check(subcommand: str, doc: dict, workdir: str) -> tuple:
 
 
 def _run_one(run):
-    subcommand, label, doc = run
+    subcommand, label, doc, data = run
     with tempfile.TemporaryDirectory() as workdir:
-        code, err, broken = check(subcommand, doc, workdir)
+        code, err, broken = check(subcommand, doc, workdir, data)
     return {"run": f"{subcommand} {label}", "exit": code, "broken": broken, "stderr": err}
 
 
