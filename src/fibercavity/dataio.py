@@ -123,9 +123,10 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     return _rows_to_csv(header, spectrum.deltas, TWO_PI_MHZ, columns)
 
 
-def _csv_columns(path, header: tuple, what: str, optional: str | None = None):
+def _csv_columns(path, header: tuple, what: str, x_unit: float, optional: str | None = None):
     """Numeric columns of the UTF-8 CSV file ``path`` that starts with ``header``,
-    plus the ``optional`` column when the header names it; errors name the line."""
+    plus the ``optional`` column when the header names it, the first column in
+    SI units (times ``x_unit``); errors name the line."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             reader = csv.reader(io.StringIO(handle.read()))
@@ -154,14 +155,19 @@ def _csv_columns(path, header: tuple, what: str, optional: str | None = None):
                 f"{what} CSV line {reader.line_num}: expected {width} finite numbers, "
                 f"got {row!r}"
             )
+        values[0] *= x_unit
+        if not math.isfinite(values[0]):
+            raise DataFormatError(
+                f"{what} CSV line {reader.line_num}: {header[0]} {row[0]} overflows in SI units"
+            )
         rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, width).T.copy()
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    columns = _csv_columns(path, SPECTRUM_HEADER, "spectrum", optional="sigma")
+    columns = _csv_columns(path, SPECTRUM_HEADER, "spectrum", TWO_PI_MHZ, optional="sigma")
     return Spectrum(
-        deltas=columns[0] * TWO_PI_MHZ,
+        deltas=columns[0],
         values=columns[1],
         sigmas=columns[2] if len(columns) > 2 else None,
     )
@@ -173,8 +179,8 @@ def trace_to_csv(trace: RingdownTrace) -> str:
 
 
 def read_trace_csv(path) -> RingdownTrace:
-    times, intensities = _csv_columns(path, TRACE_HEADER, "trace")
-    return RingdownTrace(times=times * NS, intensities=intensities)
+    times, intensities = _csv_columns(path, TRACE_HEADER, "trace", NS)
+    return RingdownTrace(times=times, intensities=intensities)
 
 
 def detuning_keys(detunings) -> list:

@@ -42,6 +42,7 @@ from .units import (
 )
 
 SINGLE_MODE_V_LIMIT = 2.405  # first zero of J0: cutoff of the second mode group
+J0_FIRST_ZERO = 2.404825557695773  # j_{0,1}, correctly rounded
 
 # The largest core radius (m), refractive index and numerical aperture: V = 2 pi
 # a NA / wavelength is squared as a Python float, which overflows beyond 1.34e154;
@@ -141,6 +142,124 @@ class ModeSolution:
         return float(out[0]) if r.ndim == 0 else out
 
 
+# Bessel J and K of orders 0, 1 and 2 come from the trapezoid rule (at
+# midpoint nodes) on their integral representations, which converges
+# exponentially for these analytic integrands (Trefethen & Weideman, SIAM
+# Review 56, 385, 2014), and from Hankel's expansion for large J arguments.
+# Each value is a sum along one row of an (arguments x nodes) array whose node
+# count depends on that argument alone, so an argument gets the same bits
+# alone or in any array.
+_BLOCK = 256  # arguments per pass, which keeps the (arguments x nodes) temporaries small
+_HANKEL_FROM = 25.0
+_HANKEL_TERMS = 16  # from x = 25 on, the terms are below 1e-17 before the 16th
+_K_TAIL = 46.0  # the K integrand is cut where 2 x sinh^2(t/2) = 46, i.e. at e^-46
+
+
+def _in_blocks(x, nodes, kernel):
+    """The (3, *x.shape) values of the three orders: ``kernel(block, count)``
+    gives them for a 1-D block of at most _BLOCK arguments of x that share
+    the node count ``count`` in the array ``nodes``."""
+    x = np.asarray(x, dtype=float)
+    flat, nodes = x.reshape(-1), np.reshape(nodes, -1)
+    out = np.empty((3, flat.size))
+    for count in set(nodes.tolist()):
+        where = np.flatnonzero(nodes == count)
+        for start in range(0, where.size, _BLOCK):
+            block = where[start:start + _BLOCK]
+            out[:, block] = kernel(flat[block], count)
+    return out.reshape((3, *x.shape))
+
+
+def _bessel_j(x):
+    """(J0, J1, J2) of x >= 0, a float or an array; NaN at inf, as scipy.special gives."""
+    x = np.asarray(x, dtype=float)
+    # 8 nodes hold J to 4e-16 up to x = 7.5, 16 nodes beyond x = 25
+    return _in_blocks(x, np.where(x < 6.0, 8, 16) * (x < _HANKEL_FROM), _j_block)
+
+
+def _j_block(x, nodes: int):
+    """(J0, J1, J2) of a 1-D block: Hankel's expansion if ``nodes`` is 0, else
+    Bessel's integrals at ``nodes`` midpoints, in forms whose sums do not
+    cancel as x -> 0:
+
+        J0 = (2/pi) int_0^{pi/2} cos(x sin tau) dtau
+        J1 = (2/pi) int_0^{pi/2} sin(tau) sin(x sin tau) dtau
+        J2 = -(4/pi) int_0^{pi/2} cos(2 tau) sin^2(x sin(tau) / 2) dtau
+    """
+    if not nodes:
+        return _hankel_block(x)
+    tau = (np.arange(nodes) + 0.5) * (0.5 * np.pi / nodes)
+    sin_tau = np.sin(tau)
+    half = 0.5 * x[:, None] * sin_tau
+    sin_half, cos_half = np.sin(half), np.cos(half)
+    sin2 = sin_half * sin_half
+    j0 = (cos_half * cos_half - sin2).sum(axis=1)
+    j1 = (sin_tau * sin_half * cos_half).sum(axis=1) * 2.0
+    j2 = (-2.0 * np.cos(2.0 * tau) * sin2).sum(axis=1)
+    return np.array([j0, j1, j2]) / nodes
+
+
+def _hankel_block(x):
+    """(J0, J1, J2) of x >= _HANKEL_FROM: J_n = sqrt(2 / (pi x)) (P cos chi -
+    Q sin chi), chi = x - (2n + 1) pi / 4, with cos x and sin x taken of x
+    itself, so the phase is exact however large x is."""
+    k = np.arange(_HANKEL_TERMS)
+    mu = 4.0 * np.arange(3.0)[:, None] ** 2
+    ratios = (mu - (2.0 * k[1:] - 1.0) ** 2) / (8.0 * k[1:])
+    a = np.cumprod(np.concatenate([np.ones((3, 1)), ratios], axis=1), axis=1)
+    terms = np.where(k % 4 < 2, a, -a) * (1.0 / x)[:, None, None] ** k  # (x, order, term)
+    p, q = terms[:, :, ::2].sum(axis=2).T, terms[:, :, 1::2].sum(axis=2).T
+    # cos and sin of (2n + 1) pi / 4, times sqrt(2)
+    c_phi, s_phi = np.array([[1.0], [-1.0], [-1.0]]), np.array([[1.0], [1.0], [-1.0]])
+    phase = np.where(x < np.inf, x, np.nan)
+    return (
+        np.cos(phase) * (p * c_phi + q * s_phi) + np.sin(phase) * (p * s_phi - q * c_phi)
+    ) / (math.sqrt(math.pi) * np.sqrt(x))
+
+
+def _bessel_k(x):
+    """(K0, K1, K2) of x = 0 (inf), x >= 1e-300 or x = inf (0), a float or an array."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (x < np.inf)
+    y = np.where(inside, x, 1.0)
+    # the step shrinks as 1 / sqrt(x) for large x, and so does the cut, so
+    # there a block needs fewer nodes than near x = 0
+    nodes = 8.0 * np.ceil(_k_cut(y) / np.minimum(0.2, 0.55 / np.sqrt(y)) / 8.0)
+    return _in_blocks(x, nodes * inside, _k_block)
+
+
+def _k_cut(x):
+    """Where 2 x sinh^2(t/2) = _K_TAIL."""
+    return 2.0 * np.arcsinh(math.sqrt(0.5 * _K_TAIL) / np.sqrt(x))
+
+
+def _k_block(x, nodes: float):
+    """(K0, K1, K2) of a 1-D block: inf at x = 0, 0 at inf and NaN at NaN if
+    ``nodes`` is 0, else K_n(x) = e^-x int_0^inf exp(-2 x sinh^2(t/2)) cosh(n t) dt
+    at ``nodes`` midpoints up to the cut."""
+    if not nodes:
+        special = np.where(x == 0.0, np.inf, np.where(x > 0.0, 0.0, np.nan))
+        return np.array([special] * 3)
+    step = _k_cut(x) / nodes
+    t = (np.arange(nodes) + 0.5) * step[:, None]
+    half_versine = np.sinh(0.5 * t) ** 2  # (cosh t - 1) / 2
+    cosh = 1.0 + 2.0 * half_versine
+    decay = np.exp(-2.0 * (x[:, None] * half_versine))
+    decay_cosh = decay * cosh
+    with np.errstate(over="ignore"):  # K2 ~ 2 / x^2 overflows to inf below x = 1e-154
+        cosh_2t = 2.0 * decay_cosh * cosh - decay
+    sums = np.array([decay.sum(axis=1), decay_cosh.sum(axis=1), cosh_2t.sum(axis=1)])
+    return sums * step * np.exp(-x)
+
+
+def _log_derivatives(u, w):
+    """J1'(u) / (u J1(u)) and K1'(w) / (w K1(w)), with J1' = (J0 - J2) / 2
+    and K1' = -(K0 + K2) / 2."""
+    j0, j1, j2 = _bessel_j(u)
+    k0, k1, k2 = _bessel_k(w)
+    return 0.5 * (j0 - j2) / (u * j1), -0.5 * (k0 + k2) / (w * k1)
+
+
 def _he11_residual_u(u, fiber: FiberSpec):
     """Residual of the nu = 1 full vector characteristic equation at core
     parameter u (with w = sqrt(V^2 - u^2)); u-space keeps the root O(1).
@@ -148,12 +267,9 @@ def _he11_residual_u(u, fiber: FiberSpec):
     ``u`` is a float, or an array of them for the scan of
     ``solve_fundamental_mode``, which only looks for the first sign change.
     """
-    from scipy.special import jv, jvp, kv, kvp
-
     w = np.sqrt(np.maximum(fiber.v_number**2 - u**2, 0.0))
     rho = (fiber.n_clad / fiber.n_core) ** 2
-    j = jvp(1, u) / (u * jv(1, u))
-    k = kvp(1, w) / (w * kv(1, w))
+    j, k = _log_derivatives(u, w)
     lhs = (j + k) * (j + rho * k)
     rhs = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + rho / w**2)
     return lhs - rhs
@@ -161,10 +277,10 @@ def _he11_residual_u(u, fiber: FiberSpec):
 
 def _dispersion_lp01(u: float, fiber: FiberSpec) -> float:
     """Residual of the scalar LP01 equation u J1/J0 = w K1/K0."""
-    from scipy.special import jv, kv
-
     w = math.sqrt(fiber.v_number**2 - u**2)
-    return u * jv(1, u) / jv(0, u) - w * kv(1, w) / kv(0, w)
+    j0, j1, _ = _bessel_j(u)
+    k0, k1, _ = _bessel_k(w)
+    return u * j1 / j0 - w * k1 / k0
 
 
 def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: float):
@@ -174,23 +290,19 @@ def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: f
     discontinuous across the index step), so quadrature must integrate each
     branch on its own region.
     """
-    from scipy.special import jv, kv
-
     prefactor = (n_eff * fiber.k0 * fiber.core_radius) ** 2
     c_minus = 0.5 * (1.0 - s)
     c_plus = 0.5 * (1.0 + s)
-    clad_scale = (jv(1, u) / kv(1, w)) ** 2
+    clad_scale = (_bessel_j(u)[1] / _bessel_k(w)[1]) ** 2
 
     def core(R):
-        return (prefactor / u**2) * (
-            c_minus**2 * jv(0, u * R) ** 2 + c_plus**2 * jv(2, u * R) ** 2
-        ) + 0.5 * jv(1, u * R) ** 2
+        j0, j1, j2 = _bessel_j(u * R)
+        return (prefactor / u**2) * (c_minus**2 * j0**2 + c_plus**2 * j2**2) + 0.5 * j1**2
 
     def clad(R):
+        k0, k1, k2 = _bessel_k(w * R)
         return clad_scale * (
-            (prefactor / w**2)
-            * (c_minus**2 * kv(0, w * R) ** 2 + c_plus**2 * kv(2, w * R) ** 2)
-            + 0.5 * kv(1, w * R) ** 2
+            (prefactor / w**2) * (c_minus**2 * k0**2 + c_plus**2 * k2**2) + 0.5 * k1**2
         )
 
     return core, clad
@@ -252,12 +364,9 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
     azimuth-averaged intensity out to 15 core radii (composite Simpson rule,
     ``_simpson``, with ``samples_per_region`` samples, an odd number, in each
     of the core and the cladding, which are integrated separately to respect
-    the index step). Only ``scipy.special`` is loaded, for the Bessel
-    functions. Warns if V >= 2.405, where the fiber also guides the second
+    the index step). Warns if V >= 2.405, where the fiber also guides the second
     mode group; the HE11 root itself stays unique up to V = 3.832.
     """
-    from scipy.special import jv, jvp, kv, kvp
-
     v = fiber.v_number
     if v**2 == 0.0:  # the residual divides by u^2 and w^2, which underflow
         raise NoGuidedModeError(f"V = {v:.4g} is too small to resolve a root")
@@ -288,8 +397,7 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
     k0a = fiber.k0 * fiber.core_radius
     n_eff = math.sqrt(fiber.n_core**2 - (u / k0a) ** 2)
     w = k0a * math.sqrt(n_eff**2 - fiber.n_clad**2)
-    j = jvp(1, u) / (u * jv(1, u))
-    k = kvp(1, w) / (w * kv(1, w))
+    j, k = _log_derivatives(u, w)
     s = (1.0 / u**2 + 1.0 / w**2) / (j + k)
 
     core_branch, clad_branch = _intensity_branches(fiber, n_eff, u, w, s)
@@ -333,12 +441,10 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
 
 def solve_lp01(fiber: FiberSpec) -> float:
     """Scalar LP01 effective index (weakly guiding oracle for HE11)."""
-    from scipy.special import jn_zeros
-
     v = fiber.v_number
     # The LP01 root lies below the first zero of J0 (where J0 changes sign);
     # _bisect refuses a bracket with no sign change or a NaN end (Bessel underflow).
-    upper = min(v, float(jn_zeros(0, 1)[0]))
+    upper = min(v, J0_FIRST_ZERO)
     lo, hi = 1e-9 * upper, upper * (1.0 - 1e-12)
     u = _bisect(lambda x: _dispersion_lp01(x, fiber), lo, hi)
     return math.sqrt(fiber.n_core**2 - (u / (fiber.k0 * fiber.core_radius)) ** 2)

@@ -218,6 +218,16 @@ def test_data_that_overflow_the_fit_at_its_start_are_a_numerical_failure(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("recipe", ["rabi-g", "exponential"])
+def test_a_data_csv_detuning_that_overflows_in_rad_per_s_is_refused(tmp_path, capsys, recipe):
+    # 1e302 is finite in 2pi x MHz, but not once multiplied by 2pi x 1e6
+    assert fit(tmp_path, recipe, lorentzian_csv(0, 1e302)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "data format error: spectrum CSV line 5: delta_two_pi_mhz 1e+302 overflows in SI units\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_jacobian_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys):
     # the outer detunings' squares overflow: the model is 0 there, its slope inf / inf
     csv_text = f"{SPECTRUM_HEADER}\n-4e147,0.0\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n4e147,0.0\n"

@@ -261,6 +261,76 @@ def test_mode_solutions_agree_with_scipy_brentq_and_simpson(monkeypatch):
         assert np.all(np.abs(found - expected) <= bounds * np.abs(expected)), (found, expected)
 
 
+def scipy_bessel(function):
+    """(order 0, 1, 2) values of a scipy.special Bessel function, as the kernels return them."""
+    return lambda x: np.array([function(n, x) for n in range(3)])
+
+
+def test_the_bessel_kernels_agree_with_scipy_special():
+    from scipy.special import jv, kv, kve
+
+    x = np.geomspace(1e-8, 1e6, 20001)
+    found, expected = fibermode._bessel_j(x), scipy_bessel(jv)(x)
+    error = np.abs(found - expected)
+    assert np.all(error <= 1e-15)
+    large = np.abs(expected) > 1e-2
+    assert np.all(error[large] <= 5e-14 * np.abs(expected[large]))
+    small = x < 2.4
+    assert np.all(error[1:, small] <= 6e-15 * np.abs(expected[1:, small]))
+    # within 0.1 of J0's first zero, scipy's J0 itself is off by up to 2.7e-14
+    # relative (against 30-digit values), so 6e-15 is not checkable there
+    assert np.all(error[0, x < 2.3] <= 6e-15 * expected[0, x < 2.3])
+
+    x = np.geomspace(1e-8, 740.0, 20001)
+    found, expected = fibermode._bessel_k(x), scipy_bessel(kv)(x)
+    # kv flushes to 0 from x = 697.9 on; there the reference is kve(x) e^-x,
+    # which is subnormal from x = 708 on: one step of 2^-1074 is allowed
+    flushed = expected == 0.0
+    expected[flushed] = (scipy_bessel(kve)(x) * np.exp(-x))[flushed]
+    assert np.all(expected > 0.0)
+    assert np.all(np.abs(found - expected) <= 6e-14 * expected + 2.0**-1074)
+
+
+def test_the_bessel_kernels_give_scipy_values_at_zero_and_infinity_without_warnings():
+    from scipy.special import jv, kv
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, math.inf):
+            np.testing.assert_array_equal(fibermode._bessel_j(x), scipy_bessel(jv)(x))
+            np.testing.assert_array_equal(fibermode._bessel_k(x), scipy_bessel(kv)(x))
+
+
+def test_a_scalar_argument_gets_the_bits_of_its_array_element():
+    # more than one block, and every node count of both kernels, Hankel's expansion included
+    x = np.random.default_rng(1).permutation(np.geomspace(1e-6, 1e3, 700))
+    for kernel in (fibermode._bessel_j, fibermode._bessel_k):
+        array = kernel(x)
+        scalars = np.array([kernel(v) for v in x.tolist()]).T
+        np.testing.assert_array_equal(scalars.view(np.int64), array.view(np.int64))
+
+
+def test_mode_solutions_agree_with_scipy_bessel_functions(monkeypatch):
+    from scipy.special import jv, kv
+
+    def solve(fiber):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mode = solve_fundamental_mode(fiber)
+        fields = (mode.n_eff, mode.u, mode.effective_area, mode.tail_truncation_error)
+        return np.array([*fields, solve_lp01(fiber)])
+
+    bounds = np.array([1e-15, 1e-14, 1e-11, 1e-11, 1e-15])
+    rng = np.random.default_rng(19)
+    for fiber in [FiberSpec.sm800()] + [random_fiber(rng) for _ in range(24)]:
+        found = solve(fiber)
+        with monkeypatch.context() as patch:
+            patch.setattr(fibermode, "_bessel_j", scipy_bessel(jv))
+            patch.setattr(fibermode, "_bessel_k", scipy_bessel(kv))
+            expected = solve(fiber)
+        assert np.all(np.abs(found - expected) <= bounds * np.abs(expected)), (found, expected)
+
+
 def first_crossing(residuals):
     """The index ``solve_fundamental_mode`` brackets: the first sign change
     between finite residuals."""
