@@ -99,6 +99,10 @@ class FitResult:
         return float(self.uncertainties[self.names.index(name)])
 
 
+# A model, Jacobian or cost that overflows is refused (a trial step whose cost
+# is not finite fails), so numpy need not warn about it, nor about normal
+# equations or a covariance that overflow.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_least_squares(
     model,
     x,
@@ -158,20 +162,16 @@ def fit_least_squares(
     else:
         sqrt_w = np.ones_like(y)
 
-    # A model, Jacobian or cost that overflows is refused below (a trial step
-    # whose cost is not finite fails), so numpy need not warn about it as well.
     def jacobian(p):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            j = np.asarray(jac(x, p), dtype=float)
+        j = np.asarray(jac(x, p), dtype=float)
         if not np.all(np.isfinite(j)):
             raise FitError("analytic Jacobian returned non-finite values")
         return j
 
     def weighted_residual(p):
         """The weighted residual at p and the cost, its squared sum."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
-            return r, float(r @ r)
+        r = (np.asarray(model(x, p), dtype=float) - y) * sqrt_w
+        return r, float(r @ r)
 
     residual, cost = weighted_residual(params)
     if not np.all(np.isfinite(residual)):
@@ -248,11 +248,12 @@ def _covariance_uncertainties(jw, cost, n_points, n_par, sigmas):
 
     A parameter the model does not respond to (zero Jacobian column) has a
     zero singular value in the information matrix, i.e. infinite variance.
-    So does every parameter of an unweighted fit with no spare degree of freedom.
+    So does every parameter of an unweighted fit with no spare degree of
+    freedom, and of one whose information matrix overflows.
     """
-    if sigmas is None and n_points <= n_par:
-        return np.full(n_par, np.inf)
     jtj = jw.T @ jw
+    if (sigmas is None and n_points <= n_par) or not np.all(np.isfinite(jtj)):
+        return np.full(n_par, np.inf)
     col = np.sqrt(np.diag(jtj))
     insensitive = col <= 0.0
     col[insensitive] = 1.0
@@ -409,10 +410,10 @@ def fit_exponential_recovery(times, values) -> FitResult:
     span = float(times.max() - times.min())
     lifetime0 = span / 3.0 if span > 0 else 1.0
     if amplitude0 != 0.0:
-        # time at which the recovery has covered (1 - 1/e) of its range
-        crossed = np.nonzero(
-            (values - values[0]) / amplitude0 >= 1.0 - math.exp(-1.0)
-        )[0]
+        # time at which the recovery has covered (1 - 1/e) of its range; a
+        # start that overflows is refused by the engine
+        with np.errstate(over="ignore", invalid="ignore"):
+            crossed = np.nonzero((values - values[0]) / amplitude0 >= 1.0 - math.exp(-1.0))[0]
         if crossed.size and times[crossed[0]] > times[0]:
             lifetime0 = float(times[crossed[0]] - times[0])
     return fit_least_squares(
@@ -456,8 +457,10 @@ def fit_ringdown_tail(trace, tail_start: float) -> FitResult:
     residuals = log_i - fitted
     rss = float(residuals @ residuals)
     dof = t.size - 2
-    if dof > 0:
-        xtx_inv = np.linalg.inv(design.T @ design)
+    with np.errstate(over="ignore", invalid="ignore"):  # t^2 overflows from t ~ 1e154 s on
+        xtx = design.T @ design
+    if dof > 0 and np.all(np.isfinite(xtx)):
+        xtx_inv = np.linalg.inv(xtx)
         sigma2 = rss / dof
         se_intercept = math.sqrt(sigma2 * xtx_inv[0, 0])
         se_slope = math.sqrt(sigma2 * xtx_inv[1, 1])

@@ -10,7 +10,11 @@ characteristic equation
         u = k0 a sqrt(n1^2 - n_eff^2),   w = k0 a sqrt(n_eff^2 - n2^2),
 
 whose largest-n_eff root in (n2, n1) is the hybrid HE11 mode (it has no
-cutoff; the next nu = 1 root appears only at V >= 3.832). The scalar LP01
+cutoff; the next nu = 1 root appears only at V >= 3.832, though at index
+ratios n1/n2 of 40 and more two more roots lie near cutoff just below V =
+j_{0,1}). Its u rises towards j_{0,1} = 2.405, the first zero of J0, from
+below as V grows, so the solve scans for the first sign change below
+min(V, j_{0,1}) and needs J only on [0, j_{0,1}]. The scalar LP01
 equation u J1(u)/J0(u) = w K1(w)/K0(w) is kept as an independent oracle for
 the weakly guiding limit.
 
@@ -53,8 +57,8 @@ SIZE = Bound(0.0, SIZE_LIMIT, "(]")
 
 class NoGuidedModeError(RuntimeError):
     """No root of the characteristic equation inside (n_clad, n_core), or
-    none whose mode profile double precision can represent (V in the
-    hundreds, where the cladding Bessel K functions underflow)."""
+    none that double precision can resolve (V beyond about 740, where K1(w)
+    underflows)."""
 
 
 def sellmeier_fused_silica(wavelength_m: float) -> float:
@@ -145,22 +149,19 @@ class ModeSolution:
 # Bessel J and K of orders 0, 1 and 2 come from the trapezoid rule (at
 # midpoint nodes) on their integral representations, which converges
 # exponentially for these analytic integrands (Trefethen & Weideman, SIAM
-# Review 56, 385, 2014), and from Hankel's expansion for large J arguments.
-# Each value is a sum along one row of an (arguments x nodes) array whose node
-# count depends on that argument alone, so an argument gets the same bits
-# alone or in any array.
+# Review 56, 385, 2014). Each value is a sum along one row of an (arguments x
+# nodes) array whose node count depends on that argument alone, so an argument
+# gets the same bits alone or in any array.
 _BLOCK = 256  # arguments per pass, which keeps the (arguments x nodes) temporaries small
-_HANKEL_FROM = 25.0
-_HANKEL_TERMS = 16  # from x = 25 on, the terms are below 1e-17 before the 16th
 _K_TAIL = 46.0  # the K integrand is cut where 2 x sinh^2(t/2) = 46, i.e. at e^-46
 
 
 def _in_blocks(x, nodes, kernel):
     """The (3, *x.shape) values of the three orders: ``kernel(block, count)``
     gives them for a 1-D block of at most _BLOCK arguments of x that share
-    the node count ``count`` in the array ``nodes``."""
+    the node count ``count`` in ``nodes``, an array of x's shape or one count."""
     x = np.asarray(x, dtype=float)
-    flat, nodes = x.reshape(-1), np.reshape(nodes, -1)
+    flat, nodes = x.reshape(-1), np.broadcast_to(nodes, x.shape).reshape(-1)
     out = np.empty((3, flat.size))
     for count in set(nodes.tolist()):
         where = np.flatnonzero(nodes == count)
@@ -171,23 +172,20 @@ def _in_blocks(x, nodes, kernel):
 
 
 def _bessel_j(x):
-    """(J0, J1, J2) of x >= 0, a float or an array; NaN at inf, as scipy.special gives."""
-    x = np.asarray(x, dtype=float)
-    # 8 nodes hold J to 4e-16 up to x = 7.5, 16 nodes beyond x = 25
-    return _in_blocks(x, np.where(x < 6.0, 8, 16) * (x < _HANKEL_FROM), _j_block)
+    """(J0, J1, J2) of x in [0, J0_FIRST_ZERO], a float or an array: every J
+    the mode solve needs, since the HE11 and LP01 roots u lie below j_{0,1}
+    and the core intensity takes J at u R with R <= 1."""
+    return _in_blocks(x, 8, _j_block)  # 8 nodes hold J to 4e-16 up to x = 7.5
 
 
 def _j_block(x, nodes: int):
-    """(J0, J1, J2) of a 1-D block: Hankel's expansion if ``nodes`` is 0, else
-    Bessel's integrals at ``nodes`` midpoints, in forms whose sums do not
-    cancel as x -> 0:
+    """(J0, J1, J2) of a 1-D block from Bessel's integrals at ``nodes``
+    midpoints, in forms whose sums do not cancel as x -> 0:
 
         J0 = (2/pi) int_0^{pi/2} cos(x sin tau) dtau
         J1 = (2/pi) int_0^{pi/2} sin(tau) sin(x sin tau) dtau
         J2 = -(4/pi) int_0^{pi/2} cos(2 tau) sin^2(x sin(tau) / 2) dtau
     """
-    if not nodes:
-        return _hankel_block(x)
     tau = (np.arange(nodes) + 0.5) * (0.5 * np.pi / nodes)
     sin_tau = np.sin(tau)
     half = 0.5 * x[:, None] * sin_tau
@@ -197,24 +195,6 @@ def _j_block(x, nodes: int):
     j1 = (sin_tau * sin_half * cos_half).sum(axis=1) * 2.0
     j2 = (-2.0 * np.cos(2.0 * tau) * sin2).sum(axis=1)
     return np.array([j0, j1, j2]) / nodes
-
-
-def _hankel_block(x):
-    """(J0, J1, J2) of x >= _HANKEL_FROM: J_n = sqrt(2 / (pi x)) (P cos chi -
-    Q sin chi), chi = x - (2n + 1) pi / 4, with cos x and sin x taken of x
-    itself, so the phase is exact however large x is."""
-    k = np.arange(_HANKEL_TERMS)
-    mu = 4.0 * np.arange(3.0)[:, None] ** 2
-    ratios = (mu - (2.0 * k[1:] - 1.0) ** 2) / (8.0 * k[1:])
-    a = np.cumprod(np.concatenate([np.ones((3, 1)), ratios], axis=1), axis=1)
-    terms = np.where(k % 4 < 2, a, -a) * (1.0 / x)[:, None, None] ** k  # (x, order, term)
-    p, q = terms[:, :, ::2].sum(axis=2).T, terms[:, :, 1::2].sum(axis=2).T
-    # cos and sin of (2n + 1) pi / 4, times sqrt(2)
-    c_phi, s_phi = np.array([[1.0], [-1.0], [-1.0]]), np.array([[1.0], [1.0], [-1.0]])
-    phase = np.where(x < np.inf, x, np.nan)
-    return (
-        np.cos(phase) * (p * c_phi + q * s_phi) + np.sin(phase) * (p * s_phi - q * c_phi)
-    ) / (math.sqrt(math.pi) * np.sqrt(x))
 
 
 def _bessel_k(x):
@@ -262,11 +242,8 @@ def _log_derivatives(u, w):
 
 def _he11_residual_u(u, fiber: FiberSpec):
     """Residual of the nu = 1 full vector characteristic equation at core
-    parameter u (with w = sqrt(V^2 - u^2)); u-space keeps the root O(1).
-
-    ``u`` is a float, or an array of them for the scan of
-    ``solve_fundamental_mode``, which only looks for the first sign change.
-    """
+    parameter u, a float or an array (with w = sqrt(V^2 - u^2)); u-space
+    keeps the root O(1)."""
     w = np.sqrt(np.maximum(fiber.v_number**2 - u**2, 0.0))
     rho = (fiber.n_clad / fiber.n_core) ** 2
     j, k = _log_derivatives(u, w)
@@ -293,15 +270,16 @@ def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: f
     prefactor = (n_eff * fiber.k0 * fiber.core_radius) ** 2
     c_minus = 0.5 * (1.0 - s)
     c_plus = 0.5 * (1.0 + s)
-    clad_scale = (_bessel_j(u)[1] / _bessel_k(w)[1]) ** 2
+    # the cladding scale is J1(u)^2 (K(wR) / K1(w))^2, since K1(w)^2 underflows from w ~ 350 on
+    j1_u, k1_w = _bessel_j(u)[1], _bessel_k(w)[1]
 
     def core(R):
         j0, j1, j2 = _bessel_j(u * R)
         return (prefactor / u**2) * (c_minus**2 * j0**2 + c_plus**2 * j2**2) + 0.5 * j1**2
 
     def clad(R):
-        k0, k1, k2 = _bessel_k(w * R)
-        return clad_scale * (
+        k0, k1, k2 = _bessel_k(w * R) / k1_w
+        return j1_u**2 * (
             (prefactor / w**2) * (c_minus**2 * k0**2 + c_plus**2 * k2**2) + 0.5 * k1**2
         )
 
@@ -313,7 +291,7 @@ def _intensity_profile(fiber: FiberSpec, n_eff: float, u: float, w: float, s: fl
     core, clad = _intensity_branches(fiber, n_eff, u, w, s)
 
     def profile(R):
-        return np.where(R <= 1.0, core(R), clad(np.maximum(R, 1.0)))
+        return np.where(R <= 1.0, core(np.minimum(R, 1.0)), clad(np.maximum(R, 1.0)))
 
     return profile
 
@@ -359,13 +337,14 @@ def _simpson(y, x):
 def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> ModeSolution:
     """Solve the HE11 dispersion equation by bracketed root finding.
 
-    Scans n_eff over (n_clad, n_core) at 2000 points for a sign change,
-    bisects it down to adjacent doubles (``_bisect``), then integrates the
-    azimuth-averaged intensity out to 15 core radii (composite Simpson rule,
-    ``_simpson``, with ``samples_per_region`` samples, an odd number, in each
-    of the core and the cladding, which are integrated separately to respect
-    the index step). Warns if V >= 2.405, where the fiber also guides the second
-    mode group; the HE11 root itself stays unique up to V = 3.832.
+    Scans u over [1e-6, 1 - 1e-9] times min(V, j_{0,1}) at 2000 points for
+    its first sign change (HE11's u stays below j_{0,1}: Snyder & Love,
+    Optical Waveguide Theory, 1983), bisects it down to adjacent doubles
+    (``_bisect``), then integrates the azimuth-averaged intensity out to 15
+    core radii (composite Simpson rule, ``_simpson``, with
+    ``samples_per_region`` samples, an odd number, in each of the core and the
+    cladding, which are integrated separately to respect the index step).
+    Warns if V >= 2.405, where the fiber also guides the second mode group.
     """
     v = fiber.v_number
     if v**2 == 0.0:  # the residual divides by u^2 and w^2, which underflow
@@ -378,8 +357,11 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
         )
 
     # Scan in u, where the fundamental root stays O(1); small u means n_eff
-    # near n_core, so the fundamental is the crossing at the smallest u.
-    grid = np.linspace(1e-6 * v, v * (1.0 - 1e-9), 2000)
+    # near n_core, so the fundamental is the crossing at the smallest u. At
+    # index ratios n_core/n_clad of 40 and more, just below V = j_{0,1}, two
+    # more roots lie near cutoff, so the whole span is no bracket.
+    upper = min(v, J0_FIRST_ZERO)
+    grid = np.linspace(1e-6 * upper, upper * (1.0 - 1e-9), 2000)
     residuals = _he11_residual_u(grid, fiber)
     finite = np.isfinite(residuals)
     signs = np.sign(residuals)
@@ -413,8 +395,6 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
         _simpson(core_branch(r_core) * r_core, r_core)
         + _simpson(clad_branch(r_clad) * r_clad, r_clad)
     ) * 2.0 * math.pi * fiber.core_radius**2 / peak
-    if not 0.0 < area < math.inf:
-        raise NoGuidedModeError(f"V = {v:.4g}: mode profile not representable (area {area})")
 
     # K-function asymptotics: I(R) ~ I(R0) exp(-2 w (R - R0)), so the tail
     # beyond R0 contributes about I(R0) * 2 pi a^2 * R0 / (2 w).

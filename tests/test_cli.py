@@ -24,6 +24,7 @@ from fibercavity.dataio import (
     trace_to_csv,
 )
 from fibercavity.estimation import Spectrum
+from fibercavity.fibermode import J0_FIRST_ZERO
 from fibercavity.ringdown import RingdownTrace
 
 TW = from_two_pi_mhz(1.0)
@@ -238,13 +239,43 @@ def test_mode_solve_degenerate_fiber_is_numeric_failure(tmp_path):
     assert run_cli("mode-solve", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("numerical_aperture", [18.0, 34.0])
+def test_mode_solve_far_past_cutoff_solves(tmp_path, capsys, numerical_aperture):
+    # V = 372 and 702: K1(w)^2 underflows, but the cladding intensity
+    # J1(u)^2 (K(wR) / K1(w))^2 does not
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fiber": {"numerical_aperture": numerical_aperture}}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "mode_solution.json").read_text(encoding="utf-8"))
+    fiber = load_manifest(out / "mode_solution.json")["config"]["fiber"]
+    assert 0.0 < doc["effective_area_um2"] < math.inf
+    k0a = 2.0 * math.pi * fiber["core_radius_um"] / (fiber["wavelength_nm"] * 1e-3)
+    u = k0a * math.sqrt(fiber["n_core"] ** 2 - doc["n_eff"] ** 2)
+    assert 0.0 < u < J0_FIRST_ZERO
+
+
+def test_mode_solve_takes_the_largest_n_eff_root_at_high_index_contrast(tmp_path, capsys):
+    # n_core/n_clad = 64 at V = 2.385: the HE11 residual has two more roots
+    # near cutoff, at smaller n_eff, so the whole u span is no bracket
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fiber": {
+        "core_radius_um": 1.0530096350483442e-30, "n_core": 1.018258642951334e28,
+        "n_clad": 1.5960413390949184e26, "wavelength_nm": 28.243777588214685,
+    }}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "mode_solution.json").read_text(encoding="utf-8"))
+    assert doc["n_eff"] == 2.966411545290785e27
+
+
 @pytest.mark.parametrize(
     "fiber",
     [
-        # V = 372 and 702: the cladding Bessel K functions underflow, which left
-        # a NaN mode area (reported as a bad mode volume) or a NaN LP01 bracket
-        {"numerical_aperture": 18.0},
-        {"numerical_aperture": 34.0},
+        # V = 1238: K1(w) underflows to 0, so the HE11 residual is NaN
+        {"numerical_aperture": 60.0},
         # V = 2e-184: V^2 underflows, and the HE11 residual divided by zero
         {"core_radius_um": 2.5e-189},
     ],

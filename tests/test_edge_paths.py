@@ -7,6 +7,7 @@ pinned through the library call.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,11 +188,11 @@ def test_a_model_that_is_not_finite_at_the_start_is_a_numerical_failure(tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def lorentzian_csv(column, cell) -> str:
+def lorentzian_csv(column, cell, row=3) -> str:
     """An 11-point Lorentzian of half width 3.2 at Delta = -25..25 in steps of 5 (2pi x MHz)
-    whose fourth row has ``cell`` in ``column``: 0 the detuning, 1 the value."""
+    whose row ``row`` has ``cell`` in ``column``: 0 the detuning, 1 the value."""
     rows = [[float(delta), 1.0 / (1.0 + (delta / 3.2) ** 2)] for delta in range(-25, 30, 5)]
-    rows[3][column] = cell
+    rows[row][column] = cell
     return SPECTRUM_HEADER + "\n" + "".join(f"{delta!r},{value!r}\n" for delta, value in rows)
 
 
@@ -226,6 +227,40 @@ def test_a_data_csv_detuning_that_overflows_in_rad_per_s_is_refused(tmp_path, ca
         "data format error: spectrum CSV line 5: delta_two_pi_mhz 1e+302 overflows in SI units\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("recipe", "csv_text", "flags", "code", "uncertainties"),
+    [
+        # the covariance's residual-variance factor overflows for the width
+        ("lorentzian", lorentzian_csv(1, -1e154, row=5), (), EXIT_NUMERIC,
+         [3.282971841475745e153, None]),
+        # the gradient and the normal equations overflow: no spread is known
+        ("exponential", lorentzian_csv(1, 1e154, row=10), (), EXIT_NUMERIC, [None, None, None]),
+        # t^2 overflows in the tail fit's normal matrix
+        ("ringdown-tail", "t_ns,intensity_normalized\n0.0,1.0\n10.0,0.5\n20.0,0.25\n1e300,0.1\n",
+         ("--tail-start-ns", "10"), EXIT_OK, [None, None]),
+        # the recovery's range, -1.7e308 - 1.7e308, overflows in the start's crossing search
+        ("exponential", f"{SPECTRUM_HEADER}\n0.0,1.7e308\n1.0,0.5\n2.0,0.25\n3.0,-1.7e308\n",
+         (), EXIT_NUMERIC, None),
+    ],
+    ids=["lorentzian-value-1e154-middle", "exponential-value-1e154-last", "ringdown-tail-1e300ns",
+         "exponential-range-overflow"],
+)
+def test_a_fit_that_overflows_does_not_warn(tmp_path, capsys, recipe, csv_text, flags, code,
+                                            uncertainties):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert fit(tmp_path, recipe, csv_text, *flags) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    result = tmp_path / "out" / "fit_result.json"
+    if uncertainties is None:  # refused at the start: one line, no result
+        assert err == "numerical failure: model returned non-finite values at the initial point\n"
+        assert not result.exists()
+    else:  # a fit that ends, converged or not, writes its result, and an overflow is no spread
+        assert err == ""
+        assert json.loads(result.read_text(encoding="utf-8"))["uncertainties"] == uncertainties
 
 
 def test_a_jacobian_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys):

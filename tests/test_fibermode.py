@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -224,11 +225,12 @@ def test_atom_spec_validation():
     assert atom.dipole_moment == pytest.approx(2.685e-29, rel=1e-3)
 
 
-def random_fiber(rng):
-    """A step-index fiber with V from 0.5 to 3.8, past the single-mode limit."""
+def random_fiber(rng, v_range=(0.5, 3.8)):
+    """A step-index fiber with V log-uniform in ``v_range``, by default 0.5 to 3.8,
+    past the single-mode limit."""
     wavelength = rng.uniform(0.4e-6, 1.6e-6)
     n_clad = rng.uniform(1.3, 1.6)
-    v = 10.0 ** rng.uniform(math.log10(0.5), math.log10(3.8))
+    v = 10.0 ** rng.uniform(math.log10(v_range[0]), math.log10(v_range[1]))
     radius = 10.0 ** rng.uniform(-6.5, -5.0)
     na = v * wavelength / (2.0 * math.pi * radius)
     return FiberSpec(radius, math.sqrt(n_clad**2 + na**2), n_clad, wavelength)
@@ -269,7 +271,8 @@ def scipy_bessel(function):
 def test_the_bessel_kernels_agree_with_scipy_special():
     from scipy.special import jv, kv, kve
 
-    x = np.geomspace(1e-8, 1e6, 20001)
+    # J's domain: the mode solve takes no J beyond the first zero of J0
+    x = np.geomspace(1e-8, fibermode.J0_FIRST_ZERO, 20001)
     found, expected = fibermode._bessel_j(x), scipy_bessel(jv)(x)
     error = np.abs(found - expected)
     assert np.all(error <= 1e-15)
@@ -296,13 +299,13 @@ def test_the_bessel_kernels_give_scipy_values_at_zero_and_infinity_without_warni
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        np.testing.assert_array_equal(fibermode._bessel_j(0.0), scipy_bessel(jv)(0.0))
         for x in (0.0, math.inf):
-            np.testing.assert_array_equal(fibermode._bessel_j(x), scipy_bessel(jv)(x))
             np.testing.assert_array_equal(fibermode._bessel_k(x), scipy_bessel(kv)(x))
 
 
 def test_a_scalar_argument_gets_the_bits_of_its_array_element():
-    # more than one block, and every node count of both kernels, Hankel's expansion included
+    # more than one block, and every node count of both kernels
     x = np.random.default_rng(1).permutation(np.geomspace(1e-6, 1e3, 700))
     for kernel in (fibermode._bessel_j, fibermode._bessel_k):
         array = kernel(x)
@@ -331,6 +334,31 @@ def test_mode_solutions_agree_with_scipy_bessel_functions(monkeypatch):
         assert np.all(np.abs(found - expected) <= bounds * np.abs(expected)), (found, expected)
 
 
+def test_no_solve_takes_j_beyond_the_first_zero_of_j0(monkeypatch):
+    arguments = []
+    bessel_j = fibermode._bessel_j
+
+    def recorded(x):
+        arguments.append(np.max(x))
+        return bessel_j(x)
+
+    monkeypatch.setattr(fibermode, "_bessel_j", recorded)
+    rng = np.random.default_rng(21)
+    solved = []
+    for _ in range(40):
+        fiber = random_fiber(rng, (0.1, 700.0))
+        # below V ~ 1, w can be so small that u lies above the scan's top, V (1 - 1e-9)
+        with contextlib.suppress(NoGuidedModeError), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mode = solve_fundamental_mode(fiber, 33)
+            mode.intensity(np.linspace(0.0, 15.0 * fiber.core_radius, 31))
+            solved.append(fiber.v_number)
+        with contextlib.suppress(NoGuidedModeError):
+            solve_lp01(fiber)
+    assert len(solved) >= 30 and max(solved) > 600.0
+    assert 0.0 < max(arguments) <= fibermode.J0_FIRST_ZERO
+
+
 def first_crossing(residuals):
     """The index ``solve_fundamental_mode`` brackets: the first sign change
     between finite residuals."""
@@ -342,12 +370,40 @@ def test_the_array_scan_finds_the_crossing_of_the_scalar_residual():
     rng = np.random.default_rng(20)
     for _ in range(40):
         fiber = random_fiber(rng)
-        v = fiber.v_number
-        grid = np.linspace(1e-6 * v, v * (1.0 - 1e-9), 2000)
+        upper = min(fiber.v_number, fibermode.J0_FIRST_ZERO)
+        grid = np.linspace(1e-6 * upper, upper * (1.0 - 1e-9), 2000)
         scalar = [fibermode._he11_residual_u(float(u), fiber) for u in grid]
         assert first_crossing(fibermode._he11_residual_u(grid, fiber)) == first_crossing(
             np.array(scalar)
         )
+
+
+# index ratios n_core/n_clad of 40, 64 and 100 just below V = j_{0,1}
+HIGH_CONTRAST = [
+    FiberSpec(v * 1e-6 / (2.0 * math.pi * 1.5 * math.sqrt(ratio**2 - 1.0)), 1.5 * ratio, 1.5, 1e-6)
+    for ratio in (40.0, 64.0, 100.0)
+    for v in (2.375, 2.3833, 2.39)
+]
+
+
+def test_the_he11_root_is_the_first_sign_change_of_the_residual():
+    rng = np.random.default_rng(20)
+    weak = [FiberSpec.sm800()] + [random_fiber(rng) for _ in range(20)]
+    changes = []
+    for fiber in weak + HIGH_CONTRAST:
+        upper = min(fiber.v_number, fibermode.J0_FIRST_ZERO)
+        grid = np.linspace(1e-6 * upper, upper * (1.0 - 1e-9), 20001)
+        residuals = _he11_residual_u(grid, fiber)
+        first = first_crossing(residuals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u = solve_fundamental_mode(fiber, 3).u
+        assert grid[first] <= u <= grid[first + 1]
+        changes.append(np.count_nonzero(np.diff(np.sign(residuals))))
+    # one sign change in the span of a weakly guiding fiber; at high contrast two
+    # more roots lie near cutoff, u close to V, the last of them often above the span
+    assert changes[: len(weak)] == [1] * len(weak)
+    assert all(count in (2, 3) for count in changes[len(weak):])
 
 
 def test_simpson_is_exact_for_a_cubic():

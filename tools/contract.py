@@ -68,6 +68,13 @@ DOCUMENTS = (
     ("mode-solve", {"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}}, None),
     # g overflows only at the solved mode volume, which the dump cannot see
     ("mode-solve", {"atom": {"dipole_moment_cm": 1e154}}, None),
+    # V = 372, where K1(w)^2 underflows, solves; at V = 1238 K1(w) itself underflows
+    ("mode-solve", {"fiber": {"numerical_aperture": 18}}, None),
+    ("mode-solve", {"fiber": {"numerical_aperture": 60}}, None),
+    # n_core/n_clad = 64 at V = 2.385: two more residual roots lie near cutoff
+    ("mode-solve", {"fiber": {"core_radius_um": 1.0530096350483442e-30, "n_core": 1.018258642951334e28,
+                              "n_clad": 1.5960413390949184e26,
+                              "wavelength_nm": 28.243777588214685}}, None),
     # a 1e300 rad/s switch-off on a grid that ends at a subnormal 1e-309 s
     ("ringdown", {"seed": 0, "ringdown": {"kappa_s": {"value": 1e300, "unit": "rad_per_s"}},
                   "grid": {"t_max_ns": 1e-300}}, None),
@@ -77,6 +84,12 @@ DOCUMENTS = (
     ("fit", {"recipe": "exponential", "data": "value_1e300.csv"}, lorentzian_csv(1, 1e300)),
     # a detuning whose model overflows, in the rabi-g start scan first
     ("fit", {"recipe": "rabi-g", "data": "detuning_1e300.csv"}, lorentzian_csv(0, 1e300)),
+    # the recovery's range overflows in the exponential start's crossing search
+    ("fit", {"recipe": "exponential", "data": "range_overflow.csv"},
+     "delta_two_pi_mhz,transmission_normalized\n0.0,1.7e308\n1.0,0.5\n2.0,0.25\n3.0,-1.7e308\n"),
+    # t^2 overflows in the tail fit's normal matrix
+    ("fit", {"recipe": "ringdown-tail", "data": "time_1e300.csv", "tail_start_ns": 10},
+     "t_ns,intensity_normalized\n0.0,1.0\n10.0,0.5\n20.0,0.25\n1e300,0.125\n"),
 )
 # the other value of a document that sets one of the two fiber indices
 PARTNER = {"/fiber/n_core": ("n_clad", 1.45), "/fiber/n_clad": ("n_core", 1.46)}
