@@ -66,7 +66,6 @@ from .experiment import (
     SequenceConfig,
     accumulate_spectra,
     classify_level,
-    expected_count_rate,
     level_occupancy,
     local_g_cdf,
     run_ensemble,

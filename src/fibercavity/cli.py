@@ -17,7 +17,7 @@ byte-identically. ``SUBCOMMANDS`` builds the parser, one entry per subcommand.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure
 (non-convergence, no root, integration failure, a numpy whose seeding the
-ensemble does not replay), 4 I/O error.
+ensemble does not replay, a refused allocation), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -390,6 +390,12 @@ class Outputs:
         print(text, end="")
 
 
+def _check_size(pointer: str, count: int, itemsize: int = 8):
+    """Refuse ``count`` entries of ``itemsize`` bytes: no numpy array holds 2**63 bytes."""
+    if count * itemsize >= 2**63:
+        _fail(pointer, f"{count} x {itemsize} bytes is 2**63 or more, beyond any numpy array")
+
+
 def _detuning_grid(low: float, high: float, points: int) -> np.ndarray:
     """Detunings (rad/s) spaced on the 2pi-MHz lattice, so CSVs round-trip exactly."""
     return np.linspace(two_pi_mhz(low), two_pi_mhz(high), points) * from_two_pi_mhz(1.0)
@@ -414,6 +420,7 @@ def _spectrum(args):
     with _at("/system"):
         steady.empty_cavity_reference(system)
     grid = config["grid"]
+    _check_size("/grid/points", grid["points"])
     if not grid["delta_max_mhz"] > grid["delta_min_mhz"]:
         raise ConfigError("/grid/delta_max_mhz: must exceed delta_min_mhz")
     g_values = [from_two_pi_mhz(v) for v in config.get("g_list_two_pi_mhz", [])]
@@ -456,6 +463,7 @@ def _ringdown(args):
             for title, scale in (("undercoupled", 0.5), ("critical", 1.0), ("overcoupled", 2.0))
         ] if args.triptych else []
     grid = config["grid"]
+    _check_size("/grid/points", grid["points"])
     if not grid["t_max_ns"] > grid["t_min_ns"]:
         raise ConfigError("/grid/t_max_ns: must exceed t_min_ns")
     method = config["method"]
@@ -620,13 +628,18 @@ def _experiment(args):
     }
     sequence = _build(SEQUENCE, schema, doc, "/sequence", **probes)
     with _at("/sequence"):
-        experiment.check_ensemble(system, sequence, n_sequences)
+        mean_bound = experiment.check_ensemble(system, sequence, n_sequences)
     d_min, d_max = (config["detunings"][k]["value"] for k in ("min", "max"))
     if not d_max >= d_min:
         raise ConfigError("/detunings/max: must be >= min")
-    detunings = _detuning_grid(d_min, d_max, config["detunings"]["points"])
+    points = config["detunings"]["points"]
+    _check_size("/detunings/points", points)
+    detunings = _detuning_grid(d_min, d_max, points)
     with _at("/detunings/points"):
         dataio.detuning_keys(detunings)
+    # a row of the count table, or a float per sequence where that is more
+    count_bytes = np.dtype(experiment.count_dtype(mean_bound)).itemsize
+    _check_size("/sequences", n_sequences, max(points * count_bytes, 8))
 
     def job(out: Outputs):
         ensemble = experiment.run_ensemble(
@@ -803,6 +816,7 @@ def main(argv=None) -> int:
         svgplot.PlotError,
         experiment.SeedReplayError,
         NumericalFailure,
+        MemoryError,  # an allocation this machine refuses
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -116,8 +116,7 @@ class Ensemble:
     normalized_detection: np.ndarray  # (n,)
     level: np.ndarray  # (n,) int, 1..6
     survived_hold: np.ndarray  # (n,) bool
-    # (n, k): uint16 while every spectroscopy mean stays within UINT16_MEAN_LIMIT,
-    # int64 beyond; the experiment job drops the ensemble once
+    # (n, k) of count_dtype; the experiment job drops the ensemble once
     # accumulate_spectra has read it, before the per-level fits
     spectroscopy_counts: np.ndarray
 
@@ -141,29 +140,6 @@ def sample_local_g(g_max: float, rng: np.random.Generator) -> float:
 def local_g_cdf(x) -> np.ndarray:
     """CDF of g / g_max for the |cos| distribution: (2/pi) arcsin(x)."""
     return 2.0 / math.pi * np.arcsin(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
-
-
-def expected_count_rate(
-    params: SystemParams,
-    probe: ProbeConfig,
-    background_rate: float,
-    detector_efficiency: float,
-    detunings=None,
-    g=None,
-    gain=1.0,
-):
-    """Mean detector count rate of a probe, plus background.
-
-    rate = (gain * empty_cavity_signal_rate) * normalized_transmission + background,
-    at ``detunings`` (the probe's own detuning when None) and with ``g`` in
-    place of ``params.g`` when given. ``detunings``, ``g`` and ``gain``
-    broadcast as in ``steady.transmission``: (n, 1) columns of couplings and
-    gains over a (k,) grid give n rows, each equal bit for bit to the call
-    with that row's scalars.
-    """
-    signal = gain * empty_cavity_signal_rate(params, probe, detector_efficiency)
-    delta = probe.detuning if detunings is None else detunings
-    return signal * steady.normalized_transmission(params, delta, g) + background_rate
 
 
 def empty_cavity_signal_rate(
@@ -391,6 +367,11 @@ def check_ensemble(system: SystemParams, config: SequenceConfig, n_sequences: in
     return means["spectroscopy"]
 
 
+def count_dtype(spec_mean_bound: float) -> type:
+    """The spectroscopy count table's dtype under ``check_ensemble``'s mean-count bound."""
+    return np.uint16 if spec_mean_bound <= UINT16_MEAN_LIMIT else np.int64
+
+
 def run_ensemble(
     system: SystemParams,
     config: SequenceConfig,
@@ -407,41 +388,41 @@ def run_ensemble(
     deterministic, and sequence i does not depend on how many others run. Each
     sequence replaces the g of ``system`` with its local coupling (zero for
     spectroscopy once the atom is lost) and scales the signal, not the
-    background, by the gain 1 + normalization_drift * i: its mean count rate
-    is ``expected_count_rate`` with that coupling and gain. Normalization
-    divides by the same empty-cavity signal, so values compare
+    background, by the gain 1 + normalization_drift * i: a probe's mean count
+    is (gain * S * T(Delta; g) / T_empty(0) + background) * duration, with
+    the empty-cavity signal S (``empty_cavity_signal_rate``) and reference
+    T_empty(0) (``steady.empty_cavity_reference``) derived once per ensemble.
+    Normalization divides by the same empty-cavity signal, so values compare
     across sequences. Sequences run in blocks of ``steady.rows_per_block``
     rows, which bounds the transients to one block. ``check_ensemble`` runs
-    first; the spectroscopy counts are uint16 when its mean-count bound is at
-    most UINT16_MEAN_LIMIT, and int64 otherwise.
+    first; the spectroscopy counts take the ``count_dtype`` of its bound.
     """
     spec_mean_bound = check_ensemble(system, config, n_sequences)
     spec, det = config.spectroscopy, config.detection
     n = int(n_sequences)
-    gains = 1.0 + config.normalization_drift * np.arange(n)
     detunings = np.asarray(spectroscopy_detunings, dtype=float)
     efficiency, background = config.detector_efficiency, config.background_rate
+    reference = steady.empty_cavity_reference(system)
+    det_signal = empty_cavity_signal_rate(system, det, efficiency)
+    spec_signal = empty_cavity_signal_rate(system, spec, efficiency)
     survival = math.exp(-config.hold_time / config.trap_lifetime)
 
     atom_present = np.empty(n, dtype=bool)
     local_g = np.empty(n)
     detection_counts = np.empty(n, dtype=int)
     survived = np.empty(n, dtype=bool)
-    count_dtype = np.uint16 if spec_mean_bound <= UINT16_MEAN_LIMIT else np.int64
-    counts = np.empty((n, detunings.size), dtype=count_dtype)
+    counts = np.empty((n, detunings.size), dtype=count_dtype(spec_mean_bound))
     step = steady.rows_per_block(detunings.size)
     for start in range(0, n, step):
         block = slice(start, min(start + step, n))
         rngs = _sequence_streams(base_seed, block.start, block.stop)
-        gain = gains[block]
+        gain = 1.0 + config.normalization_drift * np.arange(block.start, block.stop)
 
         loaded = np.array([_load(config, rng) for rng in rngs], dtype=float)
         atom_present[block], local_g[block] = loaded[:, 0] > 0.0, loaded[:, 1]
 
-        rates = expected_count_rate(
-            system, det, background, efficiency, g=local_g[block], gain=gain
-        )
-        means = rates * det.duration
+        transmitted = steady.transmission(system, det.detuning, local_g[block]) / reference
+        means = (gain * det_signal * transmitted + background) * det.duration
         detection_counts[block] = [rng.poisson(mean) for rng, mean in zip(rngs, means)]
         survived[block] = [
             present and rng.random() < survival
@@ -450,14 +431,11 @@ def run_ensemble(
 
         # the lost atom couples no more
         probed_g = np.where(survived[block], local_g[block], 0.0)[:, None]
-        rates = expected_count_rate(
-            system, spec, background, efficiency, detunings, g=probed_g, gain=gain[:, None]
-        )
-        means = rates * spec.duration
+        transmitted = steady.transmission(system, detunings, probed_g) / reference
+        means = (gain[:, None] * spec_signal * transmitted + background) * spec.duration
         for row, rng, mean in zip(counts[block], rngs, means):
             row[:] = rng.poisson(mean)
 
-    det_signal = empty_cavity_signal_rate(system, det, efficiency)
     normalized_detection = _normalized_counts(
         detection_counts, det.duration, background, det_signal
     )

@@ -378,7 +378,9 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
 
     k0a = fiber.k0 * fiber.core_radius
     n_eff = math.sqrt(fiber.n_core**2 - (u / k0a) ** 2)
-    w = k0a * math.sqrt(n_eff**2 - fiber.n_clad**2)
+    w = k0a * math.sqrt(max(n_eff**2 - fiber.n_clad**2, 0.0))
+    if not w > 0.0:
+        raise NoGuidedModeError(f"HE11 n_eff rounds onto n_clad = {fiber.n_clad!r}, so w = 0")
     j, k = _log_derivatives(u, w)
     s = (1.0 / u**2 + 1.0 / w**2) / (j + k)
 

@@ -289,6 +289,20 @@ def test_mode_solve_beyond_double_precision_is_numeric_failure(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_mode_solve_whose_n_eff_rounds_onto_n_clad_is_numeric_failure(tmp_path, capsys):
+    # a relative index step of 7.4e-15: the root's n_eff rounds to n_clad, so w = 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fiber": {
+        "core_radius_um": 1340.229393233965, "n_core": 1.0018949902522247,
+        "n_clad": 1.0018949902522172, "wavelength_nm": 2.402276266194462,
+    }}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_NUMERIC
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["numerical failure: HE11 n_eff rounds onto n_clad = 1.0018949902522172, so w = 0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, message", [
     # the solved volume, 7.7e292 m^3, is finite, but not in um^3
     ({"fiber": {"core_radius_um": 300}, "cavity": {"length_m": 1e300}},
@@ -1007,3 +1021,66 @@ def test_a_write_that_fails_exits_4_and_leaves_no_temp_file(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("i/o error: ")
     assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv"]
     assert list(out.glob("*.tmp")) == []
+
+
+def config_at(tmp_path, doc: dict, pointer: str, value) -> str:
+    """A config file of ``doc`` with the field at ``pointer`` set to ``value``."""
+    *blocks, key = pointer.strip("/").split("/")
+    block = doc
+    for name in blocks:
+        block = block.setdefault(name, {})
+    block[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+def assert_refused(tmp_path, capsys, argv, code, prefix):
+    """The run exits ``code`` with one stderr line that starts with ``prefix``,
+    and writes nothing; a config error is refused by the dump as well."""
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    assert not out.exists()
+    if code == EXIT_CONFIG:
+        assert run_cli(*argv, "--out", str(out), "--dump-config") == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# 10**18 float64 entries, 8e18 bytes, fit a numpy array but no 57-bit address space, so
+# the allocation fails at once; 10**30 entries fit no numpy array. No run touches memory.
+@pytest.mark.parametrize("subcommand, pointer, value, code", [
+    ("spectrum", "/grid/points", 10**18, EXIT_NUMERIC),
+    ("spectrum", "/grid/points", 10**30, EXIT_CONFIG),
+    ("ringdown", "/grid/points", 10**18, EXIT_NUMERIC),
+    ("ringdown", "/grid/points", 10**30, EXIT_CONFIG),
+    ("experiment", "/detunings/points", 10**18, EXIT_NUMERIC),
+    ("experiment", "/detunings/points", 10**30, EXIT_CONFIG),
+    # 21 uint16 counts a sequence: 4.2e19 bytes
+    ("experiment", "/sequences", 10**18, EXIT_CONFIG),
+    ("experiment", "/sequences", 10**30, EXIT_CONFIG),
+])
+def test_a_size_beyond_this_machine_exits_3_and_beyond_any_array_exits_2(
+    tmp_path, capsys, subcommand, pointer, value, code
+):
+    cfg = config_at(tmp_path, {}, pointer, value)
+    prefix = f"config error: {pointer}: " if code == EXIT_CONFIG else "numerical failure: "
+    assert_refused(tmp_path, capsys, (subcommand, "--config", cfg), code, prefix)
+
+
+@pytest.mark.parametrize("sequences, points, power_w, code", [
+    (2**60 - 1, 1, 0.4e-12, EXIT_NUMERIC),  # a float per sequence: 2**63 - 8 bytes
+    (2**60, 1, 0.4e-12, EXIT_CONFIG),
+    (10**18, 4, 0.4e-12, EXIT_NUMERIC),  # 4 uint16 counts take no more than the float
+    (10**18, 5, 0.4e-12, EXIT_CONFIG),
+    (10**18, 2, 0.4e-12, EXIT_NUMERIC),
+    (10**18, 2, 1e-10, EXIT_CONFIG),  # a spectroscopy mean beyond 2**14 makes the counts int64
+])
+def test_the_ensemble_size_check_takes_the_larger_of_a_float_and_a_count_row(
+    tmp_path, capsys, sequences, points, power_w, code
+):
+    doc = {"sequences": sequences, "sequence": {"spectroscopy": {"power_w": power_w}}}
+    cfg = config_at(tmp_path, doc, "/detunings/points", points)
+    prefix = "config error: /sequences: " if code == EXIT_CONFIG else "numerical failure: "
+    assert_refused(tmp_path, capsys, ("experiment", "--config", cfg), code, prefix)

@@ -2,8 +2,9 @@
 
 Each of CASES sets one NUMBER or RATE field of a subcommand to an extreme
 value, the rest left at its default (``tools/contract.py`` builds and runs
-all 235 such documents and its fixed DOCUMENTS, multi-field ones and fit runs
-on a data CSV; its CI step runs them all). These 42 used to end in a
+all 235 such documents, the 16 that set an INTEGER field to 10**18 or 10**30,
+and its fixed DOCUMENTS, multi-field ones and fit runs on a data CSV; its CI
+step runs them all). These 42 used to end in a
 traceback, exit 0 with numpy warnings, or print warnings before their one
 error line; the fixed documents used to end in a traceback, exit 0 with a
 numpy warning, print warnings before their one error line, or exit 2 on a

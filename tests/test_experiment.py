@@ -13,7 +13,6 @@ from fibercavity import (
     SequenceConfig,
     accumulate_spectra,
     classify_level,
-    expected_count_rate,
     fit_exponential_recovery,
     fit_rabi_g,
     from_two_pi_mhz,
@@ -24,7 +23,7 @@ from fibercavity import (
     sample_local_g,
     transmission_peak_detunings,
 )
-from fibercavity import experiment
+from fibercavity import experiment, steady
 from fibercavity.dataio import DataFormatError, write_events_jsonl
 from fibercavity.experiment import _load, _stream_words, empty_cavity_signal_rate, sequence_rng
 from fibercavity.steady import rows_per_block
@@ -75,34 +74,14 @@ def test_expected_count_rate_photon_flux(measured_params):
 def test_expected_count_rate_limits(measured_params):
     probe = ProbeConfig(power=0.8e-12, duration=2e-3)
     strong = measured_params.with_g(5000.0 * TW)
-    rate = expected_count_rate(strong, probe, background_rate=1e4, detector_efficiency=0.5)
+    background = 1e4
+    signal = empty_cavity_signal_rate(strong, probe, 0.5)
+    rate = signal * normalized_transmission(strong, probe.detuning) + background
     assert rate == pytest.approx(1e4, rel=1e-3)  # full extinction leaves background
     faint = ProbeConfig(power=1e-300, duration=2e-3)
-    assert expected_count_rate(
-        measured_params, faint, background_rate=1e4, detector_efficiency=0.5
-    ) == pytest.approx(1e4, rel=1e-15)
-
-
-def test_expected_count_rate_composition(measured_params):
-    probe = ProbeConfig(power=0.8e-12, duration=2e-3, detuning=3.0 * TW)
-    rate = expected_count_rate(measured_params, probe, 1e4, 0.5)
-    signal = (
-        0.5
-        * probe.photon_flux
-        * normalized_transmission(measured_params, probe.detuning)
-        * (4 * measured_params.kappa1 * measured_params.kappa2 / measured_params.kappa**2)
-    )
-    assert rate == pytest.approx(signal + 1e4, rel=1e-12)
-
-    # (n, 1) couplings and gains over a grid: each row is that row's scalar call, bit for bit
-    grid = np.linspace(-20.0, 20.0, 41) * TW
-    g = np.array([0.0, 1.3, 7.8, 25.0])[:, None] * TW
-    gain = np.array([1.0, 0.75, 1.0 + 3e-4, 2.5])[:, None]
-    rows = expected_count_rate(measured_params, probe, 1e4, 0.5, grid, g, gain)
-    assert rows.shape == (4, grid.size)
-    for row, g_i, gain_i in zip(rows, g[:, 0].tolist(), gain[:, 0].tolist()):
-        scalar = expected_count_rate(measured_params, probe, 1e4, 0.5, grid, g=g_i, gain=gain_i)
-        np.testing.assert_array_equal(row, scalar)
+    signal = empty_cavity_signal_rate(measured_params, faint, 0.5)
+    rate = signal * normalized_transmission(measured_params, faint.detuning) + background
+    assert rate == pytest.approx(1e4, rel=1e-15)
 
 
 def test_classify_level_ordering():
@@ -289,7 +268,9 @@ def test_accumulate_spectra_no_records(measured_params):
 def test_empty_cavity_signal_rate_consistency(measured_params):
     probe = ProbeConfig(power=0.4e-12, duration=5e-3)
     signal = empty_cavity_signal_rate(measured_params, probe, 0.5)
-    rate = expected_count_rate(measured_params.with_g(0.0), probe, 0.0, 0.5)
+    empty, background = measured_params.with_g(0.0), 0.0
+    transmitted = normalized_transmission(empty, probe.detuning)
+    rate = empty_cavity_signal_rate(empty, probe, 0.5) * transmitted + background
     assert signal == pytest.approx(rate, rel=1e-12)
 
 
@@ -508,6 +489,22 @@ def test_sequences_across_block_edges_match_a_longer_run(measured_params):
             short = run_ensemble(measured_params, config, detunings, n, base_seed=41)
             assert len(short) == n
             assert_same_ensemble(short, long, n)
+
+
+def test_run_ensemble_computes_the_empty_cavity_reference_once(measured_params, monkeypatch):
+    calls = []
+    reference = steady.empty_cavity_reference
+
+    def counted(params):
+        calls.append(params)
+        return reference(params)
+
+    monkeypatch.setattr(steady, "empty_cavity_reference", counted)
+    detunings = np.linspace(-10.0, 10.0, 1001) * TW
+    assert -(-40 // rows_per_block(detunings.size)) == 3  # blocks
+    ensemble = run_ensemble(measured_params, make_config(), detunings, 40, base_seed=5)
+    assert len(ensemble) == 40
+    assert calls == [measured_params]
 
 
 def test_events_writer_refuses_non_finite_values(measured_params, tmp_path):

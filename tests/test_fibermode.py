@@ -169,6 +169,25 @@ def test_no_root_reported_for_degenerate_fiber():
         solve_fundamental_mode(fiber)
 
 
+@pytest.mark.parametrize("step", [2e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 3e-11])
+@pytest.mark.parametrize("core_radius, wavelength", [
+    (1340.229393233965e-6, 2.402276266194462e-9), (1e-3, 1e-9), (3e-3, 1e-9), (2e-6, 852e-9),
+])
+def test_a_fiber_with_an_index_step_near_rounding_solves_or_has_no_guided_mode(
+    step, core_radius, wavelength
+):
+    # n_core/n_clad - 1 from 2e-16 to 3e-11, at V from 3e-7 to 212: n_eff may round onto n_clad
+    fiber = FiberSpec(core_radius, 1.45 * (1.0 + step), 1.45, wavelength)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # V >= 2.405 is not single-mode
+        try:
+            mode = solve_fundamental_mode(fiber)
+        except NoGuidedModeError:
+            return
+    assert fiber.n_clad < mode.n_eff <= fiber.n_core
+    assert mode.w > 0.0 and 0.0 < mode.effective_area < math.inf
+
+
 def test_mode_volume_linear_in_length():
     _, mode = solve_sm800()
     short = mode_volume(mode, CavityGeometry(0.33, 1.45))

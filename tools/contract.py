@@ -4,10 +4,11 @@ Usage: python tools/contract.py
 
 Every NUMBER or RATE field of ``spectrum``, ``ringdown``, ``mode-solve`` and
 ``experiment`` (40 sequences) is set alone to each of VALUES (a rate in
-rad/s), in a document that otherwise holds the defaults; each of the fixed
-DOCUMENTS, faults that no one-field document shows, runs as well. A DOCUMENTS
-entry may carry a data CSV, which is written next to ``config.json`` under
-the name its ``data`` field gives. Each runs in its own interpreter, with
+rad/s), and every INTEGER field to each of SIZES, in a document that
+otherwise holds the defaults; each of the fixed DOCUMENTS, faults that no
+one-field document shows, runs as well. A DOCUMENTS entry may carry a data
+CSV, which is written next to ``config.json`` under the name its ``data``
+field gives. Each runs in its own interpreter, with
 its work directory as the cwd: ``spectrum`` and ``experiment`` with
 ``--plot``, ``ringdown`` with ``--plot --compare --triptych``. A run keeps
 the contract when
@@ -37,6 +38,9 @@ sys.path.insert(0, SRC)
 from fibercavity import cli  # noqa: E402  (the field tables of the checkout's src/)
 
 VALUES = (1e300, -1e300, 1e-300, 5e-324, 1e154)
+# an array of 10**18 float64 entries fits numpy but no 57-bit address space, one of 10**30
+# entries fits no numpy array, so no run touches memory
+SIZES = (10**18, 10**30)
 JOBS = 2  # runs at once, each in its own interpreter
 SCHEMAS = {
     "spectrum": cli.SPECTRUM, "ringdown": cli.RINGDOWN,
@@ -75,6 +79,10 @@ DOCUMENTS = (
     ("mode-solve", {"fiber": {"core_radius_um": 1.0530096350483442e-30, "n_core": 1.018258642951334e28,
                               "n_clad": 1.5960413390949184e26,
                               "wavelength_nm": 28.243777588214685}}, None),
+    # a relative index step of 7.4e-15: the HE11 n_eff rounds onto n_clad, so w = 0
+    ("mode-solve", {"fiber": {"core_radius_um": 1340.229393233965, "n_core": 1.0018949902522247,
+                              "n_clad": 1.0018949902522172,
+                              "wavelength_nm": 2.402276266194462}}, None),
     # a 1e300 rad/s switch-off on a grid that ends at a subnormal 1e-309 s
     ("ringdown", {"seed": 0, "ringdown": {"kappa_s": {"value": 1e300, "unit": "rad_per_s"}},
                   "grid": {"t_max_ns": 1e-300}}, None),
@@ -96,12 +104,12 @@ PARTNER = {"/fiber/n_core": ("n_clad", 1.45), "/fiber/n_clad": ("n_core", 1.46)}
 
 
 def fields(schema: dict, pointer: str = ""):
-    """(pointer, kind) of every NUMBER or RATE field of a cli field table."""
+    """(pointer, kind) of every NUMBER, RATE or INTEGER field of a cli field table."""
     for key, field in schema.items():
         where = f"{pointer}/{key}"
         if isinstance(field, dict):
             yield from fields(field, where)
-        elif field.kind in (cli.NUMBER, cli.RATE):
+        elif field.kind in (cli.NUMBER, cli.RATE, cli.INTEGER):
             yield where, field.kind
 
 
@@ -110,8 +118,8 @@ def runs() -> list:
     single = [
         (subcommand, f"{pointer} = {value!r}", document(subcommand, pointer, value), None)
         for subcommand, schema in SCHEMAS.items()
-        for pointer, _ in fields(schema)
-        for value in VALUES
+        for pointer, kind in fields(schema)
+        for value in (SIZES if kind == cli.INTEGER else VALUES)
     ]
     fixed = [(subcommand, json.dumps(doc), doc, data) for subcommand, doc, data in DOCUMENTS]
     return single + fixed
