@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -188,7 +187,7 @@ FIT_RECIPE_FIELDS = {
     "exponential": {},
     "ringdown-tail": {"tail_start_ns": Field(NUMBER, 0.0, flag="tail_start_ns")},
 }
-FIBER, ATOM = fibermode.FiberSpec.from_numerical_aperture, fibermode.AtomSpec.from_wavelength
+FIBER, ATOM = fibermode.FiberSpec.from_numerical_aperture, fibermode.AtomSpec
 MODE_SOLVE = {
     "fiber": {
         "core_radius_um": _owned(FIBER, "core_radius", scale=UM),
@@ -582,9 +581,7 @@ def _mode_solve(args):
     atom = _build(ATOM, MODE_SOLVE["atom"], config["atom"], "/atom")
 
     def job(out: Outputs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mode = fibermode.solve_fundamental_mode(fiber)
+        mode = fibermode.solve_fundamental_mode(fiber)
         lp01 = fibermode.solve_lp01(fiber)
         # the volume comes from the solve, so only the run can see these faults
         volume = fibermode.mode_volume(mode, geom)
@@ -594,17 +591,22 @@ def _mode_solve(args):
             g_est = fibermode.coupling_rate(atom, volume, 1.0)
         except ParameterError as exc:
             raise NumericalFailure(f"{exc} at the solved mode volume {volume:.4g} m^3") from None
+        v = fiber.v_number
+        single_mode = v < fibermode.J0_FIRST_ZERO
         out.report("mode_solution.json", {
             "n_eff": mode.n_eff,
             "lp01_n_eff": lp01,
             "lp01_relative_difference": abs(mode.n_eff - lp01) / lp01,
-            "v_number": fiber.v_number,
-            "single_mode": fiber.v_number < fibermode.SINGLE_MODE_V_LIMIT,
+            "v_number": v,
+            "single_mode": single_mode,
             "effective_area_um2": mode.effective_area * 1e12,
             "mode_volume_um3": volume * 1e18,
             "g_est": rate_to_json(g_est),
             "tail_truncation_area_um2": mode.tail_truncation_error * 1e12,
-            "warnings": [str(w.message) for w in caught],
+            "warnings": [] if single_mode else [
+                f"V = {v:.3f} >= {fibermode.J0_FIRST_ZERO:.3f}: fiber is not single-mode "
+                "at this wavelength; returning the fundamental mode"
+            ],
         })
         return EXIT_OK, []
 

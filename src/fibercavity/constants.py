@@ -26,7 +26,6 @@ EPSILON_0 = 8.8541878188e-12  # F/m, CODATA 2022
 CS_D2_WAVELENGTH = 852.34727582e-9  # m, vacuum
 CS_D2_ANGULAR_FREQUENCY = 2.0 * np.pi * C / CS_D2_WAVELENGTH  # rad/s
 CS_D2_LINEWIDTH = 2.0 * np.pi * 5.2227e6  # rad/s, natural linewidth Gamma
-CS_D2_GAMMA = CS_D2_LINEWIDTH / 2.0  # rad/s, polarization decay rate Gamma/2
 
 # Cycling-transition dipole moment, C*m (see module docstring).
 CS_D2_CYCLING_DIPOLE = float(

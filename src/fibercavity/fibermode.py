@@ -35,7 +35,6 @@ cavity length times effective area (uniform-fiber approximation).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,7 @@ from .units import (
     POSITIVE, WAVELENGTH, Bound, Bounded, CavityGeometry, ParameterError,
 )
 
-SINGLE_MODE_V_LIMIT = 2.405  # first zero of J0: cutoff of the second mode group
-J0_FIRST_ZERO = 2.404825557695773  # j_{0,1}, correctly rounded
+J0_FIRST_ZERO = 2.404825557695773  # j_{0,1}, correctly rounded; the single-mode cutoff in V
 
 # The largest core radius (m), refractive index and numerical aperture: V = 2 pi
 # a NA / wavelength is squared as a Python float, which overflows beyond 1.34e154;
@@ -140,9 +138,12 @@ class ModeSolution:
 
     def intensity(self, r):
         """Azimuth-averaged |phi(r)|^2, 1 on axis; a scalar r evaluates as a 1-element array."""
-        profile = _intensity_profile(self.fiber, self.n_eff, self.u, self.w, self.s)
+        core, clad = _intensity_branches(self.fiber, self.n_eff, self.u, self.w, self.s)
         r = np.asarray(r, dtype=float)
-        out = profile(np.atleast_1d(r) / self.fiber.core_radius) / profile(np.zeros(1))[0]
+        R = np.atleast_1d(r) / self.fiber.core_radius
+        # the core branch owns the R = 1 boundary
+        out = np.where(R <= 1.0, core(np.minimum(R, 1.0)), clad(np.maximum(R, 1.0)))
+        out = out / core(np.zeros(1))[0]
         return float(out[0]) if r.ndim == 0 else out
 
 
@@ -228,36 +229,43 @@ def _k_block(x, nodes: float):
     decay_cosh = decay * cosh
     with np.errstate(over="ignore"):  # K2 ~ 2 / x^2 overflows to inf below x = 1e-154
         cosh_2t = 2.0 * decay_cosh * cosh - decay
-    sums = np.array([decay.sum(axis=1), decay_cosh.sum(axis=1), cosh_2t.sum(axis=1)])
+        sums = np.array([decay.sum(axis=1), decay_cosh.sum(axis=1), cosh_2t.sum(axis=1)])
     return sums * step * np.exp(-x)
 
 
 def _log_derivatives(u, w):
     """J1'(u) / (u J1(u)) and K1'(w) / (w K1(w)), with J1' = (J0 - J2) / 2
-    and K1' = -(K0 + K2) / 2."""
+    and K1' = -(K0 + K2) / 2. Where K1(w) underflows to 0, or u J1(u) ~ u^2 / 2
+    underflows, a term is NaN or inf (see ``_he11_residual_u``)."""
     j0, j1, j2 = _bessel_j(u)
     k0, k1, k2 = _bessel_k(w)
-    return 0.5 * (j0 - j2) / (u * j1), -0.5 * (k0 + k2) / (w * k1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return 0.5 * (j0 - j2) / (u * j1), -0.5 * (k0 + k2) / (w * k1)
 
 
 def _he11_residual_u(u, fiber: FiberSpec):
     """Residual of the nu = 1 full vector characteristic equation at core
     parameter u, a float or an array (with w = sqrt(V^2 - u^2)); u-space
-    keeps the root O(1)."""
+    keeps the root O(1). Where 1 / u^2 or 1 / w^2 overflows (u or w below
+    about 1e-154) or a log derivative is not finite, the residual is inf or
+    NaN: the scan skips such cells, and ``_bisect`` refuses a NaN."""
     w = np.sqrt(np.maximum(fiber.v_number**2 - u**2, 0.0))
     rho = (fiber.n_clad / fiber.n_core) ** 2
     j, k = _log_derivatives(u, w)
-    lhs = (j + k) * (j + rho * k)
-    rhs = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + rho / w**2)
-    return lhs - rhs
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lhs = (j + k) * (j + rho * k)
+        rhs = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + rho / w**2)
+        return lhs - rhs
 
 
 def _dispersion_lp01(u: float, fiber: FiberSpec) -> float:
-    """Residual of the scalar LP01 equation u J1/J0 = w K1/K0."""
+    """Residual of the scalar LP01 equation u J1/J0 = w K1/K0; NaN where K0(w)
+    underflows to 0, which ``_bisect`` refuses."""
     w = math.sqrt(fiber.v_number**2 - u**2)
     j0, j1, _ = _bessel_j(u)
     k0, k1, _ = _bessel_k(w)
-    return u * j1 / j0 - w * k1 / k0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u * j1 / j0 - w * k1 / k0
 
 
 def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: float):
@@ -284,16 +292,6 @@ def _intensity_branches(fiber: FiberSpec, n_eff: float, u: float, w: float, s: f
         )
 
     return core, clad
-
-
-def _intensity_profile(fiber: FiberSpec, n_eff: float, u: float, w: float, s: float):
-    """Combined radial profile; the core branch owns the R = 1 boundary."""
-    core, clad = _intensity_branches(fiber, n_eff, u, w, s)
-
-    def profile(R):
-        return np.where(R <= 1.0, core(np.minimum(R, 1.0)), clad(np.maximum(R, 1.0)))
-
-    return profile
 
 
 def _bisect(f, lo, hi):
@@ -344,17 +342,10 @@ def solve_fundamental_mode(fiber: FiberSpec, samples_per_region: int = 4097) -> 
     core radii (composite Simpson rule, ``_simpson``, with
     ``samples_per_region`` samples, an odd number, in each of the core and the
     cladding, which are integrated separately to respect the index step).
-    Warns if V >= 2.405, where the fiber also guides the second mode group.
     """
     v = fiber.v_number
     if v**2 == 0.0:  # the residual divides by u^2 and w^2, which underflow
         raise NoGuidedModeError(f"V = {v:.4g} is too small to resolve a root")
-    if v >= SINGLE_MODE_V_LIMIT:
-        warnings.warn(
-            f"V = {v:.3f} >= {SINGLE_MODE_V_LIMIT}: fiber is not single-mode at "
-            "this wavelength; returning the fundamental mode",
-            stacklevel=2,
-        )
 
     # Scan in u, where the fundamental root stays O(1); small u means n_eff
     # near n_core, so the fundamental is the crossing at the smallest u. At
@@ -443,25 +434,21 @@ def mode_volume(mode: ModeSolution, geom: CavityGeometry) -> float:
 
 @dataclass(frozen=True)
 class AtomSpec(Bounded):
-    """Transition dipole moment (C m) and angular frequency (rad/s)."""
+    """Transition dipole moment (C m) and vacuum wavelength (m)."""
 
     dipole_moment: float
-    transition_angular_frequency: float
+    transition_wavelength: float
 
-    # transition_wavelength is an argument of from_wavelength
-    BOUNDS = {"dipole_moment": POSITIVE, "transition_angular_frequency": POSITIVE,
-              "transition_wavelength": WAVELENGTH}
+    BOUNDS = {"dipole_moment": POSITIVE, "transition_wavelength": WAVELENGTH}
 
-    @classmethod
-    def from_wavelength(cls, dipole_moment: float, transition_wavelength: float) -> "AtomSpec":
-        """The AtomSpec of a transition at vacuum wavelength ``transition_wavelength`` (m)."""
-        cls.BOUNDS["transition_wavelength"].check("transition_wavelength", transition_wavelength)
-        return cls(dipole_moment, 2.0 * np.pi * C / transition_wavelength)
+    @property
+    def transition_angular_frequency(self) -> float:
+        return 2.0 * np.pi * C / self.transition_wavelength
 
 
 def cs_d2_atom() -> AtomSpec:
     """Cesium D2 cycling transition (dipole moment derived from the linewidth)."""
-    return AtomSpec.from_wavelength(CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH)
+    return AtomSpec(CS_D2_CYCLING_DIPOLE, CS_D2_WAVELENGTH)
 
 
 def coupling_rate(atom: AtomSpec, mode_volume_m3: float, phi: float = 1.0) -> float:

@@ -72,14 +72,14 @@ def _line(x1, y1, x2, y2, stroke="#444", width=1) -> str:
     )
 
 
-def _panel(series, x0, y0, panel_w, panel_h, title, x_label, y_label):
+def _panel(series, x0, panel_w, panel_h, title, x_label, y_label):
     series = _check_series(series)
     x_lo, x_hi = _limits([x for _, x, _ in series])
     y_lo, y_hi = _limits([y for _, _, y in series])
     plot_w = panel_w - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = panel_h - _MARGIN_TOP - _MARGIN_BOTTOM
     ax = x0 + _MARGIN_LEFT
-    ay = y0 + _MARGIN_TOP
+    ay = _MARGIN_TOP
 
     def sx(v):
         return ax + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -92,7 +92,7 @@ def _panel(series, x0, y0, panel_w, panel_h, title, x_label, y_label):
         f'height="{_fmt(plot_h)}" fill="none" stroke="#444" stroke-width="1"/>'
     ]
     if title:
-        parts.append(_text(x0 + panel_w / 2, y0 + 20, title, "middle", 13))
+        parts.append(_text(x0 + panel_w / 2, 20, title, "middle", 13))
     for i in range(5):
         frac = i / 4
         xv = x_lo + frac * (x_hi - x_lo)
@@ -131,13 +131,13 @@ def _document(width: int, height: int, body: str) -> str:
 
 def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render one 640 x 420 panel of line series: [(label, x, y), ...] -> SVG text."""
-    return _document(640, 420, _panel(series, 0.0, 0.0, 640.0, 420.0, title, x_label, y_label))
+    return _document(640, 420, _panel(series, 0.0, 640.0, 420.0, title, x_label, y_label))
 
 
 def triptych(panels, *, x_label: str = "", y_label: str = "") -> str:
     """Three (or more) titled 360 x 360 panels side by side: [(title, series), ...]."""
     parts = [
-        _panel(series, i * 360.0, 0.0, 360.0, 360.0, title, x_label, y_label if i == 0 else "")
+        _panel(series, i * 360.0, 360.0, 360.0, title, x_label, y_label if i == 0 else "")
         for i, (title, series) in enumerate(panels)
     ]
     return _document(360 * len(panels), 360, "".join(parts))

@@ -223,6 +223,22 @@ def test_mode_solve_report(tmp_path, capsys):
     assert 1.4525 < doc["n_eff"] < 1.4575
 
 
+def test_mode_solve_at_the_first_zero_of_j0_is_not_single_mode(tmp_path, capsys):
+    # V = 2.40486: past j_{0,1}, where the second mode group is guided, below 2.405
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fiber": {"core_radius_um": 2.7186}}))
+    out = tmp_path / "mode"
+    assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "mode_solution.json").read_text(encoding="utf-8"))
+    assert J0_FIRST_ZERO <= doc["v_number"] < 2.405
+    assert doc["single_mode"] is False
+    assert doc["warnings"] == [
+        "V = 2.405 >= 2.405: fiber is not single-mode at this wavelength; "
+        "returning the fundamental mode"
+    ]
+
+
 def test_mode_solve_invalid_indices(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"fiber": {"n_core": 1.44, "n_clad": 1.45}}))
@@ -278,6 +294,8 @@ def test_mode_solve_takes_the_largest_n_eff_root_at_high_index_contrast(tmp_path
         {"numerical_aperture": 60.0},
         # V = 2e-184: V^2 underflows, and the HE11 residual divided by zero
         {"core_radius_um": 2.5e-189},
+        # V = 8.8e-158: 1 / u^2 and K2(w) overflow over the whole scan
+        {"core_radius_um": 1e-157},
     ],
 )
 def test_mode_solve_beyond_double_precision_is_numeric_failure(tmp_path, capsys, fiber):
@@ -285,7 +303,8 @@ def test_mode_solve_beyond_double_precision_is_numeric_failure(tmp_path, capsys,
     cfg.write_text(json.dumps({"fiber": fiber}))
     out = tmp_path / "mode"
     assert run_cli("mode-solve", "--config", str(cfg), "--out", str(out)) == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("numerical failure: ")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -47,9 +48,7 @@ def gaussian_mode_field_radius(fiber: FiberSpec) -> float:
 
 def solve_sm800():
     fiber = FiberSpec.sm800()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fiber, solve_fundamental_mode(fiber)
+    return fiber, solve_fundamental_mode(fiber)
 
 
 def weak_fiber(delta_n, v_target=2.0, wavelength=CS_D2_WAVELENGTH):
@@ -75,12 +74,6 @@ def test_fiber_spec_validation():
     fiber = FiberSpec.sm800()
     assert fiber.numerical_aperture == pytest.approx(0.12, rel=1e-12)
     assert fiber.v_number == pytest.approx(2.477, abs=0.001)
-
-
-def test_sm800_not_single_mode_warning():
-    fiber = FiberSpec.sm800()
-    with pytest.warns(UserWarning, match="not single-mode"):
-        solve_fundamental_mode(fiber)
 
 
 def test_fundamental_mode_bounds_and_residual():
@@ -138,10 +131,8 @@ def test_effective_area_gaussian_cross_check():
 
 def test_effective_area_quadrature_convergence():
     fiber = FiberSpec.sm800()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        coarse = solve_fundamental_mode(fiber, samples_per_region=4097)
-        fine = solve_fundamental_mode(fiber, samples_per_region=8193)
+    coarse = solve_fundamental_mode(fiber, samples_per_region=4097)
+    fine = solve_fundamental_mode(fiber, samples_per_region=8193)
     assert abs(fine.effective_area - coarse.effective_area) < 1e-8 * coarse.effective_area
 
 
@@ -154,9 +145,7 @@ def test_dispersion_monotone_in_wavelength():
     previous = None
     for wavelength in (800e-9, 850e-9, 900e-9, 950e-9):
         fiber = FiberSpec.from_numerical_aperture(2.8e-6, 0.12, wavelength)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mode = solve_fundamental_mode(fiber)
+        mode = solve_fundamental_mode(fiber)
         if previous is not None:
             assert mode.n_eff < previous
         previous = mode.n_eff
@@ -178,12 +167,10 @@ def test_a_fiber_with_an_index_step_near_rounding_solves_or_has_no_guided_mode(
 ):
     # n_core/n_clad - 1 from 2e-16 to 3e-11, at V from 3e-7 to 212: n_eff may round onto n_clad
     fiber = FiberSpec(core_radius, 1.45 * (1.0 + step), 1.45, wavelength)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # V >= 2.405 is not single-mode
-        try:
-            mode = solve_fundamental_mode(fiber)
-        except NoGuidedModeError:
-            return
+    try:
+        mode = solve_fundamental_mode(fiber)
+    except NoGuidedModeError:
+        return
     assert fiber.n_clad < mode.n_eff <= fiber.n_core
     assert mode.w > 0.0 and 0.0 < mode.effective_area < math.inf
 
@@ -211,7 +198,7 @@ def test_coupling_rate_refuses_an_underflowing_volume_and_an_overflowing_g():
     with pytest.raises(ParameterError, match="underflows"):
         coupling_rate(atom, 1e-300)
     with pytest.raises(ParameterError, match="overflows"):
-        coupling_rate(AtomSpec(1e150, atom.transition_angular_frequency), 1e-12)
+        coupling_rate(AtomSpec(1e150, atom.transition_wavelength), 1e-12)
 
 
 def test_coupling_rate_formula():
@@ -236,12 +223,13 @@ def test_coupling_estimate_for_uniform_fiber_model():
 
 
 def test_atom_spec_validation():
-    with pytest.raises(ParameterError):
-        AtomSpec(dipole_moment=0.0, transition_angular_frequency=1.0)
-    with pytest.raises(ParameterError):
-        AtomSpec(dipole_moment=1e-29, transition_angular_frequency=-1.0)
+    with pytest.raises(ParameterError, match="dipole_moment"):
+        AtomSpec(dipole_moment=0.0, transition_wavelength=1.0)
+    with pytest.raises(ParameterError, match="transition_wavelength"):
+        AtomSpec(dipole_moment=1e-29, transition_wavelength=-1.0)
     atom = cs_d2_atom()
     assert atom.dipole_moment == pytest.approx(2.685e-29, rel=1e-3)
+    assert atom.transition_angular_frequency == CS_D2_ANGULAR_FREQUENCY
 
 
 def random_fiber(rng, v_range=(0.5, 3.8)):
@@ -260,9 +248,7 @@ def test_mode_solutions_agree_with_scipy_brentq_and_simpson(monkeypatch):
     from scipy.optimize import brentq
 
     def solve(fiber, samples):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mode = solve_fundamental_mode(fiber, samples)
+        mode = solve_fundamental_mode(fiber, samples)
         fields = (mode.n_eff, mode.u, mode.effective_area, mode.tail_truncation_error)
         return np.array([*fields, solve_lp01(fiber)])
 
@@ -336,9 +322,7 @@ def test_mode_solutions_agree_with_scipy_bessel_functions(monkeypatch):
     from scipy.special import jv, kv
 
     def solve(fiber):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mode = solve_fundamental_mode(fiber)
+        mode = solve_fundamental_mode(fiber)
         fields = (mode.n_eff, mode.u, mode.effective_area, mode.tail_truncation_error)
         return np.array([*fields, solve_lp01(fiber)])
 
@@ -367,8 +351,7 @@ def test_no_solve_takes_j_beyond_the_first_zero_of_j0(monkeypatch):
     for _ in range(40):
         fiber = random_fiber(rng, (0.1, 700.0))
         # below V ~ 1, w can be so small that u lies above the scan's top, V (1 - 1e-9)
-        with contextlib.suppress(NoGuidedModeError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with contextlib.suppress(NoGuidedModeError):
             mode = solve_fundamental_mode(fiber, 33)
             mode.intensity(np.linspace(0.0, 15.0 * fiber.core_radius, 31))
             solved.append(fiber.v_number)
@@ -376,6 +359,30 @@ def test_no_solve_takes_j_beyond_the_first_zero_of_j0(monkeypatch):
             solve_lp01(fiber)
     assert len(solved) >= 30 and max(solved) > 600.0
     assert 0.0 < max(arguments) <= fibermode.J0_FIRST_ZERO
+
+
+def test_the_solves_and_the_profile_raise_no_warning():
+    rng = np.random.default_rng(23)
+    fibers = [FiberSpec.sm800()] + [random_fiber(rng, (1.0, 740.0)) for _ in range(20)]
+    # K1(w) underflows to 0 over the whole scan: no guided mode
+    past_double_precision = [
+        (FiberSpec.from_numerical_aperture(numerical_aperture=60.0), "1238.4332"),
+        (FiberSpec(2.5550778864664203e-06, 72.04519969256562, 1.3090105698747707,
+                   1.537551240319439e-06), "752.1211"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fiber in fibers:
+            mode = solve_fundamental_mode(fiber)
+            solve_lp01(fiber)
+            mode.intensity(np.linspace(0.0, 15.0 * fiber.core_radius, 61))
+        for fiber, v in past_double_precision:
+            message = f"no HE11 root found in ({fiber.n_clad}, {fiber.n_core}); V = {v}"
+            with pytest.raises(NoGuidedModeError, match=f"^{re.escape(message)}$"):
+                solve_fundamental_mode(fiber)
+            lp01 = "dispersion residual is NaN at u = 2.404825557695773e-09"
+            with pytest.raises(NoGuidedModeError, match=f"^{re.escape(lp01)}$"):
+                solve_lp01(fiber)
 
 
 def first_crossing(residuals):
@@ -414,9 +421,7 @@ def test_the_he11_root_is_the_first_sign_change_of_the_residual():
         grid = np.linspace(1e-6 * upper, upper * (1.0 - 1e-9), 20001)
         residuals = _he11_residual_u(grid, fiber)
         first = first_crossing(residuals)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            u = solve_fundamental_mode(fiber, 3).u
+        u = solve_fundamental_mode(fiber, 3).u
         assert grid[first] <= u <= grid[first + 1]
         changes.append(np.count_nonzero(np.diff(np.sign(residuals))))
     # one sign change in the span of a weakly guiding fiber; at high contrast two
